@@ -182,9 +182,9 @@ class Application(abc.ABC):
     def _outputs_dict(self, raw: Any) -> dict[str, Any]:
         from ..extract.sampling import returned_names
 
-        names = returned_names(self.region_fn)
         if isinstance(raw, Mapping):
             return dict(raw)
+        names = returned_names(self.region_fn)
         if isinstance(raw, tuple):
             return dict(zip(names, raw))
         return {names[0] if names else "out": raw}

@@ -19,9 +19,6 @@ annotating a region.  This CLI exposes the same verbs::
     python -m repro telemetry --app Blackscholes --format prometheus
     python -m repro registry list /tmp/bs/registry
     python -m repro registry verify /tmp/bs/registry
-    python -m repro compile list /tmp/bs
-    python -m repro compile warm /tmp/bs --model Blackscholes
-    python -m repro compile clear /tmp/bs
 
 ``build`` writes the surrogate package (and the search checkpoint) to
 ``--out``; ``evaluate`` and ``compare`` build in-process with the given
@@ -113,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="off",
         help="also lint the serving runtime's lock discipline (CC rules) "
         "before building",
-    )
-    build.add_argument(
-        "--no-compile", action="store_true",
-        help="skip warming the serving plan cache after publishing",
     )
     _add_search_args(build)
     _add_telemetry_args(build)
@@ -210,33 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_registry_parser(sub)
 
-    compile_cmd = sub.add_parser(
-        "compile",
-        help="inspect, warm, or clear the persistent serving plan cache",
-    )
-    compile_cmd.add_argument(
-        "action", choices=("list", "warm", "clear"),
-        help="list cached plan keys, pre-compile a published surrogate's "
-        "plans, or drop every cached plan",
-    )
-    compile_cmd.add_argument(
-        "cache_dir",
-        help="build output directory hosting the cache (the --out of "
-        "`repro build`; plans live under <cache_dir>/plan_cache)",
-    )
-    compile_cmd.add_argument(
-        "--model",
-        help="for warm: registry artifact name to compile (required)",
-    )
-    compile_cmd.add_argument(
-        "--version", type=int, default=None,
-        help="for warm: registry artifact version (default: latest)",
-    )
-    compile_cmd.add_argument(
-        "--registry", default=None,
-        help="for warm: registry directory (default: <cache_dir>/registry)",
-    )
-
     add_lifecycle_parser(sub)
 
     return parser
@@ -302,7 +268,6 @@ def _config(args: argparse.Namespace) -> AutoHPCnetConfig:
         trial_workers=getattr(args, "trial_workers", None),
         prune_trials=getattr(args, "prune_trials", False),
         ae_cache=not getattr(args, "no_ae_cache", False),
-        compile_plans=not getattr(args, "no_compile", False),
         preflight_concurrency=getattr(args, "preflight_concurrency", "off"),
         seed=args.seed,
     )
@@ -524,60 +489,6 @@ def _hot_swap_smoke(name, package, rows, args: argparse.Namespace) -> int:
     return 1 if failures or active != deployed else 0
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .compile import (
-        UNTRACEABLE_KINDS,
-        PlanCache,
-        UntraceableModelError,
-        warm_plan_cache,
-    )
-    from .nas.package import SurrogatePackage
-    from .registry import ModelRegistry
-
-    cache = PlanCache(args.cache_dir)
-    if args.action == "list":
-        keys = cache.keys()
-        for key in keys:
-            info = cache.describe(key)
-            if info is None:
-                print(key)
-                continue
-            kinds = ",".join(info["step_kinds"]) or "-"
-            mode = "invariant" if info["batch_invariant"] else "blas"
-            csr = " csr" if info["csr"] else ""
-            print(f"{key}  [{mode}{csr}] steps={kinds}")
-        print(f"{len(keys)} cached plan(s) under {cache.directory}")
-        print("still interpreted (untraceable kinds):")
-        for reason, what in sorted(UNTRACEABLE_KINDS.items()):
-            print(f"  {reason}: {what}")
-        return 0
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"cleared {removed} cached plan(s) under {cache.directory}")
-        return 0
-    # warm: compile a published surrogate's natural specializations
-    if not args.model:
-        print("compile warm requires --model <registry artifact name>",
-              file=sys.stderr)
-        return 2
-    registry_dir = args.registry or str(Path(args.cache_dir) / "registry")
-    registry = ModelRegistry(registry_dir)
-    ref = registry.resolve(args.model, args.version)
-    package = SurrogatePackage.load(ref.path)
-    try:
-        keys = warm_plan_cache(cache, package, digest=ref.digest)
-    except UntraceableModelError as exc:
-        print(f"cannot compile {args.model}: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"warmed {len(keys)} plan(s) for {ref.name} v{ref.version} "
-        f"under {cache.directory}"
-    )
-    return 0
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .baselines import compare_methods
 
@@ -611,8 +522,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_telemetry(args)
     if args.command == "registry":
         return cmd_registry(args)
-    if args.command == "compile":
-        return _cmd_compile(args)
     if args.command == "lifecycle":
         return cmd_lifecycle(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

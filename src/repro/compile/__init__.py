@@ -1,46 +1,30 @@
 """Trace-and-compile inference for the surrogate serving hot path.
 
-JAX-style trace -> specialize -> cache, scaled to this repo's NumPy
-stack: :func:`compile_package` partially evaluates a surrogate package
-into a flat :class:`CompiledPlan` (weights folded, Dense/activation and
+JAX-style trace -> specialize, scaled to this repo's NumPy stack:
+:func:`compile_package` partially evaluates a surrogate package into a
+flat :class:`CompiledPlan` (weights folded, Dense/activation and
 conv/activation fused, conv gather indices and CSR sparsity patterns
-baked as constants, scratch preallocated) and :class:`PlanCache`
-persists plans across restarts, content-addressed by registry digest +
-specialization key.  The orchestrator consults both transparently and
-falls back to the interpreted path on :class:`UntraceableModelError`,
-counting each fallback by its ``reason``.
+baked as constants, scratch preallocated).  The serving executor
+(:class:`repro.runtime.executor.ModelExecutor`) keeps one in-memory plan
+per specialization key and falls back to the interpreted path on
+:class:`UntraceableModelError`, counting each fallback by its
+``reason``.
 """
 
-from .cache import (
-    PlanCache,
-    csr_pattern_key,
-    package_digest,
-    plan_key,
-    warm_plan_cache,
-)
 from .plan import (
-    PLAN_SCHEMA_VERSION,
     UNTRACEABLE_KINDS,
     CompiledPlan,
     UntraceableModelError,
     compile_package,
-    plan_from_payload,
-    plan_payload,
+    csr_pattern_key,
     untraceable_reason,
 )
 
 __all__ = [
-    "PLAN_SCHEMA_VERSION",
     "UNTRACEABLE_KINDS",
     "CompiledPlan",
     "UntraceableModelError",
     "untraceable_reason",
     "compile_package",
-    "plan_payload",
-    "plan_from_payload",
-    "PlanCache",
     "csr_pattern_key",
-    "package_digest",
-    "plan_key",
-    "warm_plan_cache",
 ]

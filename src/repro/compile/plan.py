@@ -41,8 +41,8 @@ CSR sparse-input packages compile through ``csr_pattern``: the sparsity
 gathered weight rows) is folded into the plan as constants, so serving
 one request only multiplies the value vector against prebaked operands
 — exactly ``CSRMatrix.matmul_dense`` restaged.  A plan compiled for one
-pattern only accepts inputs with that pattern; the cache key carries
-the pattern digest.
+pattern only accepts inputs with that pattern; the serving plan map
+key carries the pattern digest (:func:`csr_pattern_key`).
 
 No algebraic rewrites (no ``W1 @ W2`` folding) are performed — those
 would change summation orders and break the bit-identity guarantee the
@@ -50,8 +50,8 @@ micro-batching server is built on.
 
 A module that exposes no usable ``trace_spec`` raises
 :class:`UntraceableModelError` (tagged with a ``reason``); the
-orchestrator catches it and keeps serving that model on the interpreted
-path.
+serving executor catches it and keeps serving that model on the
+interpreted path.
 """
 
 from __future__ import annotations
@@ -61,31 +61,24 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.digest import content_key, fingerprint_array
 from ..sparse.formats import CSRMatrix
 
 __all__ = [
-    "PLAN_SCHEMA_VERSION",
     "UNTRACEABLE_KINDS",
     "UntraceableModelError",
     "untraceable_reason",
     "CompiledPlan",
     "compile_package",
-    "plan_payload",
-    "plan_from_payload",
+    "csr_pattern_key",
 ]
-
-#: bump when the step semantics or payload layout change — the schema
-#: version is folded into every cache key, so old persisted plans are
-#: invalidated for free instead of misinterpreted.  v2 added the
-#: conv/pool/upsample and CSR step kinds.
-PLAN_SCHEMA_VERSION = 2
 
 #: matches the default of :meth:`repro.nn.tensor.Tensor.leaky_relu`
 _LEAKY_SLOPE = 0.01
 
 #: what still serves interpreted, by the ``reason`` label each fallback
-#: is counted under (``repro_compile_untraceable_total``); surfaced by
-#: ``repro compile list`` so operators can see the remaining gaps
+#: is counted under (``repro_compile_untraceable_total``; the README's
+#: compiled-serving section tabulates them)
 UNTRACEABLE_KINDS = {
     "opaque": "callables without trace_spec hooks (raw lambdas, foreign models)",
     "unknown-module": "module kinds with no plan lowering yet (e.g. recurrent layers)",
@@ -117,6 +110,24 @@ def untraceable_reason(exc: BaseException) -> str:
     if isinstance(reason, str) and reason in UNTRACEABLE_KINDS:
         return reason
     return "unknown-module" if isinstance(exc, UntraceableModelError) else "opaque"
+
+
+def csr_pattern_key(csr) -> str:
+    """Content digest of a CSR *sparsity pattern* (structure, not values).
+
+    CSR-specialized plans fold the row-pointer/column-index arrays into
+    the plan as constants, so the plan map key must distinguish
+    patterns: two batches with the same shape but different nonzero
+    layouts need different plans.  Values are deliberately excluded —
+    they vary per request and the plan does not depend on them.
+    """
+    return content_key(
+        {
+            "shape": [int(s) for s in csr.shape],
+            "indptr": fingerprint_array(np.ascontiguousarray(csr.indptr, dtype=np.int64)),
+            "indices": fingerprint_array(np.ascontiguousarray(csr.indices, dtype=np.int64)),
+        }
+    )
 
 
 def _act_inplace(kind: str, out: np.ndarray) -> None:
@@ -986,174 +997,5 @@ def compile_package(
         input_dim=package.input_dim,
         output_dim=package.output_dim,
         batch_invariant=batch_invariant,
-        csr=csr,
-    )
-
-
-# -- persistence payload ----------------------------------------------------
-
-
-def plan_payload(plan: CompiledPlan) -> tuple[dict, dict]:
-    """Lower a plan to ``(json-safe meta, arrays)`` for the npz codec.
-
-    Weights, biases and the CSR pattern arrays persist verbatim (npz
-    round-trips bytes exactly); conv gather indices are *derived*
-    constants — rebuilt deterministically from the folded geometry at
-    load time, so they never bloat the payload.
-    """
-    arrays: dict[str, np.ndarray] = {}
-
-    def encode(steps: list, prefix: str) -> list:
-        encoded = []
-        for i, step in enumerate(steps):
-            tag = f"{prefix}{i}"
-            kind = step.kind
-            if kind in ("gemm", "conv1d", "conv2d", "csr_gemm"):
-                arrays[f"w_{tag}"] = step.weight
-                arrays[f"b_{tag}"] = step.bias
-                spec = {"kind": kind, "act": step.act, "id": tag}
-                if kind == "conv1d":
-                    spec.update(channels=step.channels, length=step.length)
-                elif kind == "conv2d":
-                    spec.update(
-                        kernel=step.kernel, channels=step.channels,
-                        height=step.height, width=step.width,
-                    )
-                encoded.append(spec)
-            elif kind == "act":
-                encoded.append({"kind": "act", "act": step.act, "dim": step.out_dim})
-            elif kind == "pool1d":
-                encoded.append({
-                    "kind": kind, "op": step.op, "pool": step.pool,
-                    "channels": step.channels, "length": step.length,
-                })
-            elif kind == "pool2d":
-                encoded.append({
-                    "kind": kind, "op": step.op, "pool": step.pool,
-                    "channels": step.channels, "height": step.height,
-                    "width": step.width,
-                })
-            elif kind == "upsample1d":
-                encoded.append({
-                    "kind": kind, "factor": step.factor,
-                    "channels": step.channels, "length": step.length,
-                })
-            elif kind == "upsample2d":
-                encoded.append({
-                    "kind": kind, "factor": step.factor,
-                    "channels": step.channels, "height": step.height,
-                    "width": step.width,
-                })
-            elif kind == "csr_densify":
-                encoded.append({"kind": kind})
-            else:  # residual
-                encoded.append({
-                    "kind": "residual",
-                    "dim": step.out_dim,
-                    "steps": encode(step.steps, tag + "_"),
-                })
-        return encoded
-
-    meta = {
-        "schema": PLAN_SCHEMA_VERSION,
-        "input_dim": plan.input_dim,
-        "output_dim": plan.output_dim,
-        "batch_invariant": plan.batch_invariant,
-        "steps": encode(plan.steps, "s"),
-    }
-    if plan.csr is not None:
-        meta["csr"] = {"shape": list(plan.csr.shape)}
-        arrays["csr_indptr"] = plan.csr.indptr
-        arrays["csr_indices"] = plan.csr.indices
-    return meta, arrays
-
-
-def plan_from_payload(meta: dict, arrays: dict) -> CompiledPlan:
-    """Rebuild a plan from a persisted payload (arrays round-trip exactly
-    through npz, so a disk hit is bit-identical to the plan it memoizes)."""
-    if meta.get("schema") != PLAN_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported plan schema {meta.get('schema')!r} "
-            f"(this build executes schema {PLAN_SCHEMA_VERSION})"
-        )
-    csr = None
-    if "csr" in meta:
-        csr = _CsrPattern(
-            arrays["csr_indptr"], arrays["csr_indices"], meta["csr"]["shape"]
-        )
-
-    def decode(specs: list) -> list:
-        steps: list = []
-        for spec in specs:
-            kind = spec["kind"]
-            if kind == "gemm":
-                steps.append(
-                    _GemmStep(
-                        arrays[f"w_{spec['id']}"],
-                        arrays[f"b_{spec['id']}"],
-                        spec["act"],
-                    )
-                )
-            elif kind == "act":
-                steps.append(_ActStep(spec["act"], spec["dim"]))
-            elif kind == "conv1d":
-                steps.append(
-                    _Conv1dStep(
-                        arrays[f"w_{spec['id']}"], arrays[f"b_{spec['id']}"],
-                        spec["act"], spec["channels"], spec["length"],
-                    )
-                )
-            elif kind == "conv2d":
-                steps.append(
-                    _Conv2dStep(
-                        arrays[f"w_{spec['id']}"], arrays[f"b_{spec['id']}"],
-                        spec["act"], spec["kernel"], spec["channels"],
-                        spec["height"], spec["width"],
-                    )
-                )
-            elif kind == "pool1d":
-                steps.append(
-                    _Pool1dStep(
-                        spec["op"], spec["pool"], spec["channels"], spec["length"]
-                    )
-                )
-            elif kind == "pool2d":
-                steps.append(
-                    _Pool2dStep(
-                        spec["op"], spec["pool"], spec["channels"],
-                        spec["height"], spec["width"],
-                    )
-                )
-            elif kind == "upsample1d":
-                steps.append(
-                    _Upsample1dStep(
-                        spec["factor"], spec["channels"], spec["length"]
-                    )
-                )
-            elif kind == "upsample2d":
-                steps.append(
-                    _Upsample2dStep(
-                        spec["factor"], spec["channels"],
-                        spec["height"], spec["width"],
-                    )
-                )
-            elif kind == "csr_gemm":
-                steps.append(
-                    _CsrGemmStep(
-                        arrays[f"w_{spec['id']}"], arrays[f"b_{spec['id']}"],
-                        spec["act"], csr,
-                    )
-                )
-            elif kind == "csr_densify":
-                steps.append(_CsrDensifyStep(csr))
-            else:
-                steps.append(_ResidualStep(decode(spec["steps"]), spec["dim"]))
-        return steps
-
-    return CompiledPlan(
-        decode(meta["steps"]),
-        input_dim=meta["input_dim"],
-        output_dim=meta["output_dim"],
-        batch_invariant=meta["batch_invariant"],
         csr=csr,
     )

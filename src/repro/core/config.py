@@ -50,7 +50,6 @@ class AutoHPCnetConfig:
     trial_workers: Optional[int] = None  # eval threads per batch (None: = batch size)
     prune_trials: bool = False          # median-stopping rule on inner trials
     ae_cache: bool = True               # reuse trained autoencoder artifacts
-    compile_plans: bool = True          # trace-and-compile the serving hot path
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -1,13 +1,12 @@
 """Shared content-hashing helpers for artifact caches.
 
-Both on-disk caches in the system — the NAS autoencoder cache
-(:mod:`repro.nas.cache`) and the inference plan cache
-(:mod:`repro.compile.cache`) — memoize a pure function of (numpy data +
-configuration knobs).  Their keys are built the same way: SHA-256 over
-each array's dtype/shape/bytes, folded into a canonical-JSON digest of
-every knob that influences the result.  This module is the one
-definition of that construction, so the two caches can never drift into
-subtly different keying rules.
+Every content-addressed key in the system — the NAS autoencoder cache
+(:mod:`repro.nas.cache`), the retrain lineage key and the CSR
+sparsity-pattern key of compiled plans (:mod:`repro.compile.plan`) — is
+built the same way: SHA-256 over each array's dtype/shape/bytes, folded
+into a canonical-JSON digest of every knob that influences the result.
+This module is the one definition of that construction, so keying rules
+can never drift apart.
 
 ``content_key`` serializes with ``sort_keys=True`` and *default*
 separators — the exact bytes the AE cache has always hashed — so

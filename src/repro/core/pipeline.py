@@ -22,7 +22,6 @@ import numpy as np
 
 from .. import obs
 from ..apps.base import Application
-from ..compile import PlanCache, UntraceableModelError, warm_plan_cache
 from ..extract.acquisition import AcquisitionResult
 from ..nas.hierarchical import Hierarchical2DSearch, SearchResult
 from ..nas.package import SurrogatePackage
@@ -262,18 +261,6 @@ class AutoHPCnet:
                             "k": int(result.best_k),
                         },
                     )
-                    if cfg.compile_plans:
-                        # warm the plan cache at publish time so the first
-                        # serving process starts with zero compiles
-                        cache = PlanCache(checkpoint_dir)
-                        try:
-                            warm_plan_cache(
-                                cache,
-                                result.best.package,
-                                digest=artifact.digest,
-                            )
-                        except UntraceableModelError:
-                            pass  # this family serves interpreted; no plans
                 build_result = BuildResult(
                     surrogate=surrogate,
                     acquisition=acq,

@@ -8,8 +8,9 @@ re-runs the region to collect ground-truth outputs.
 
 from __future__ import annotations
 
-import inspect
 import ast
+import functools
+import inspect
 import textwrap
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -19,7 +20,13 @@ import numpy as np
 from ..sparse import COOMatrix, CSCMatrix, CSRMatrix
 from .features import FeatureSchema
 
-__all__ = ["Perturbation", "perturb_value", "returned_names", "SampleGenerator"]
+__all__ = [
+    "Perturbation",
+    "perturb_value",
+    "returned_names",
+    "returned_names_ast",
+    "SampleGenerator",
+]
 
 _SPARSE_TYPES = (COOMatrix, CSRMatrix, CSCMatrix)
 
@@ -83,15 +90,12 @@ def perturb_value(value: Any, p: Perturbation, rng: np.random.Generator) -> Any:
     raise TypeError(f"cannot perturb value of type {type(value).__name__}")
 
 
-def returned_names(fn: Callable) -> tuple[str, ...]:
-    """Names returned by the region function's final return statement.
+def returned_names_ast(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
+    """Names returned by the function's final ``return`` statement.
 
-    Used to map the region's return value back onto output-variable names
-    (``return x`` -> ("x",); ``return x, r`` -> ("x", "r")).
+    ``return x`` -> ("x",); ``return x, r`` -> ("x", "r"); a dict with
+    string-literal keys returns its keys; anything else returns ().
     """
-    source = textwrap.dedent(inspect.getsource(fn))
-    tree = ast.parse(source)
-    func = next(n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
     returns = [n for n in ast.walk(func) if isinstance(n, ast.Return) and n.value is not None]
     if not returns:
         return ()
@@ -105,6 +109,19 @@ def returned_names(fn: Callable) -> tuple[str, ...]:
     ):
         return tuple(k.value for k in value.keys)
     return ()
+
+
+@functools.lru_cache(maxsize=1024)
+def returned_names(fn: Callable) -> tuple[str, ...]:
+    """Names returned by the region function's final return statement.
+
+    Maps the region's return value back onto output-variable names.  The
+    source is parsed once per function: every exact run (including each
+    guard fallback) asks again, and a parse costs far more than a region.
+    """
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    func = next(n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return returned_names_ast(func)
 
 
 class SampleGenerator:

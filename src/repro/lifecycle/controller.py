@@ -220,7 +220,6 @@ class LifecycleController:
                 version=version,
                 deploy=deploy,
                 package=package,
-                digest=ref.digest,
             )
         elif deploy and self._orc.active_version(self.name) != version:
             self._orc.deploy(self.name, version)

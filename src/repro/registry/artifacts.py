@@ -14,7 +14,6 @@ Artifact kinds:
 ``nn-model``           a bare surrogate network (``save_model`` payload)
 ``autoencoder``        a standalone trained autoencoder
 ``ae-cache-entry``     NAS cache: autoencoder + σ_y + encoded training set
-``compiled-plan``      plan cache: a specialized serving plan (repro.compile)
 =================  =========================================================
 """
 
@@ -31,7 +30,6 @@ __all__ = [
     "KIND_MODEL",
     "KIND_AUTOENCODER",
     "KIND_AE_CACHE",
-    "KIND_PLAN",
     "publish_package",
     "load_package",
     "publish_model",
@@ -44,7 +42,6 @@ KIND_PACKAGE = "surrogate-package"
 KIND_MODEL = "nn-model"
 KIND_AUTOENCODER = "autoencoder"
 KIND_AE_CACHE = "ae-cache-entry"
-KIND_PLAN = "compiled-plan"
 
 Source = Union[str, Path, ArtifactRef]
 

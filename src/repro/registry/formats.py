@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # a module-level runtime import would be circular
 __all__ = [
     "MODEL_FORMAT_VERSION",
     "AUTOENCODER_FORMAT_VERSION",
-    "PLAN_FORMAT_VERSION",
     "topology_to_meta",
     "topology_from_meta",
     "write_model_npz",
@@ -43,13 +42,10 @@ __all__ = [
     "autoencoder_meta",
     "write_array",
     "read_array",
-    "write_plan_npz",
-    "read_plan_npz",
 ]
 
 MODEL_FORMAT_VERSION = 2
 AUTOENCODER_FORMAT_VERSION = 1
-PLAN_FORMAT_VERSION = 1
 
 
 # -- topology metadata ---------------------------------------------------------
@@ -223,39 +219,6 @@ def _assign_params(ae: Autoencoder, archive, *, cast: Optional[type]) -> None:
     for i, p in enumerate(ae.parameters()):
         stored = archive[f"{prefix}_{i}"]
         p.data = stored.astype(cast) if cast is not None else stored
-
-
-# -- compiled serving plans ------------------------------------------------------
-
-
-def write_plan_npz(path: Union[str, Path], meta: dict, arrays: dict) -> Path:
-    """Persist a compiled serving plan (step meta + constant arrays).
-
-    ``meta``/``arrays`` come from :func:`repro.compile.plan.plan_payload`;
-    this codec stays structure-agnostic (one JSON record plus named
-    arrays — float64 weights/biases and int64 CSR pattern arrays alike)
-    so the on-disk plan format is owned here like every other artifact
-    payload, and new step kinds need no codec change.
-    """
-    path = Path(path)
-    meta = dict(meta, format_version=PLAN_FORMAT_VERSION)
-    np.savez(path, meta=json.dumps(meta), **arrays)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def read_plan_npz(path: Union[str, Path]) -> tuple[dict, dict]:
-    """Load a plan payload; returns ``(meta, arrays)``.
-
-    Arrays round-trip byte-exact through npz, so a reloaded plan is
-    bit-identical to the one that was stored.
-    """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        version = meta.pop("format_version", None)
-        if version != PLAN_FORMAT_VERSION:
-            raise ValueError(f"unsupported plan file version {version!r}")
-        arrays = {k: archive[k] for k in archive.files if k != "meta"}
-    return meta, arrays
 
 
 # -- raw arrays ------------------------------------------------------------------

@@ -6,6 +6,7 @@ from .orchestrator import (
     Orchestrator,
     OrchestratorStopped,
     UnknownModelError,
+    WorkerCrashedError,
 )
 from .client import Client, InferenceFuture
 from .serving import (
@@ -27,6 +28,7 @@ __all__ = [
     "Orchestrator",
     "OrchestratorStopped",
     "UnknownModelError",
+    "WorkerCrashedError",
     "Client",
     "InferenceFuture",
     "ONLINE_PHASES",

@@ -233,7 +233,6 @@ class Client:
         *,
         version: Optional[int] = None,
         deploy: bool = True,
-        digest: Optional[str] = None,
     ) -> int:
         """Register an in-memory surrogate package under ``name``.
 
@@ -247,9 +246,7 @@ class Client:
         :meth:`Orchestrator.register_model` stay per-request unless the
         caller declares them ``batchable=True``.  Passing the package
         itself (not just its bound ``predict``) is what lets the
-        orchestrator trace-and-compile it; ``digest`` carries the registry
-        artifact digest so compiled plans are content-addressed without
-        rehashing the parameters.
+        orchestrator trace-and-compile it.
         """
         self._packages[name] = package
         return self._orc.register_model(
@@ -259,7 +256,6 @@ class Client:
             version=version,
             deploy=deploy,
             package=package,
-            digest=digest,
         )
 
     def set_model_from_file(
@@ -302,9 +298,7 @@ class Client:
         """
         ref = registry.resolve(artifact or name, artifact_version)
         package = SurrogatePackage.load(ref.path)
-        self.set_model(
-            name, package, version=ref.version, deploy=deploy, digest=ref.digest
-        )
+        self.set_model(name, package, version=ref.version, deploy=deploy)
         return package
 
     def deploy_model(self, name: str, version: int) -> int:

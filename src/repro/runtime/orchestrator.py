@@ -57,7 +57,6 @@ When telemetry is disabled the hot paths pay one attribute check.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import pickle
 import queue
@@ -66,40 +65,39 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .. import obs
-from ..compile import (
-    PlanCache,
-    compile_package,
-    csr_pattern_key,
-    package_digest,
-    untraceable_reason,
-)
-from ..nn.tensor import batch_invariant as _batch_invariant_mode
 from ..sparse import CSRMatrix
+from .executor import ModelExecutor, ServedModel
 
 __all__ = [
     "Orchestrator",
     "InferenceRequest",
     "OrchestratorStopped",
     "UnknownModelError",
+    "WorkerCrashedError",
     "CanaryStatus",
 ]
 
 #: batch-size histogram buckets: powers of two up to a deep GPU-style batch
 BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-#: resolution-map marker for models the plan compiler cannot trace, so
-#: the fallback decision is made once per specialization key, not per call
-_UNTRACEABLE = object()
-
 
 class OrchestratorStopped(RuntimeError):
     """Raised to waiters whose request was still queued when stop() ran."""
+
+
+class WorkerCrashedError(RuntimeError):
+    """The worker process serving this request died before answering.
+
+    Process mode delivers it to every request pending on the dead shard
+    as soon as the shard's result pipe reports EOF, so callers fail fast
+    instead of waiting out their own timeouts.  The shard is not
+    respawned: later requests routed to it fail the same way.
+    """
 
 
 class UnknownModelError(KeyError):
@@ -123,23 +121,6 @@ class UnknownModelError(KeyError):
 
     def __str__(self) -> str:  # KeyError would repr() the message
         return self.args[0]
-
-
-class _ModelVersion(NamedTuple):
-    """One immutable registered version of a model.
-
-    ``package``/``digest`` are optional compilation metadata: when the
-    registered callable is a surrogate package's ``predict``, the package
-    itself (and, for registry-loaded models, its artifact digest) ride
-    along so the serving path can trace-and-compile it.  Raw callables
-    leave both ``None`` and always serve interpreted.
-    """
-
-    predict: Callable[[np.ndarray], np.ndarray]
-    batchable: bool
-    version: int
-    package: Optional[Any] = None
-    digest: Optional[str] = None
 
 
 class _OutcomeWindow:
@@ -197,7 +178,7 @@ def _canary_slot(name: str, seq: int) -> float:
 class _ModelEntry:
     """All versions of one model name plus its deployment pointers."""
 
-    versions: dict[int, _ModelVersion] = field(default_factory=dict)
+    versions: dict[int, ServedModel] = field(default_factory=dict)
     active: Optional[int] = None
     previous: Optional[int] = None
     #: canary deploy-policy pointers: a candidate version receiving a
@@ -225,13 +206,13 @@ class InferenceRequest:
     output_keys: tuple[str, ...]
     done: threading.Event = field(default_factory=threading.Event)
     error: Optional[Exception] = None
-    model: Optional[_ModelVersion] = None
+    model: Optional[ServedModel] = None
 
 
 class _Group(NamedTuple):
     """A vectorizable run: requests plus their already-fetched input rows."""
 
-    model: _ModelVersion
+    model: ServedModel
     requests: list[InferenceRequest]
     inputs: list[np.ndarray]
 
@@ -340,10 +321,9 @@ class Orchestrator:
       batch-invariance) and serve through them; plan outputs are
       bit-identical to the interpreted forward.  Models the compiler
       cannot trace fall back to the interpreted path transparently.
-    * ``plan_cache_dir`` — persist compiled plans under
-      ``<dir>/plan_cache/`` so restarts reuse them (content-addressed;
-      see :class:`repro.compile.PlanCache`).  ``None`` keeps the plan
-      cache in-memory only.
+      Plans live in memory only, in the
+      :class:`~repro.runtime.executor.ModelExecutor` shared with process
+      workers; compiling is cheaper than any disk load.
     * ``num_processes`` — ``> 0`` switches the serving pool from threads
       to worker *processes*: models shard across a consistent-hash ring
       (:class:`~repro.runtime.sharding.ProcessShardPool`), tensors cross
@@ -364,7 +344,6 @@ class Orchestrator:
         num_workers: int = 1,
         batch_invariant: bool = True,
         compile_plans: bool = True,
-        plan_cache_dir: Optional[Union[str, Path]] = None,
         num_processes: int = 0,
         max_queue_depth: int = 512,
         admission_timeout_ms: float = 50.0,
@@ -402,18 +381,17 @@ class Orchestrator:
                 start_method=start_method,
                 batch_invariant=self.batch_invariant,
                 compile_plans=self.compile_plans,
-                plan_cache_dir=str(plan_cache_dir) if plan_cache_dir else None,
             )
         self._tensors: dict[str, np.ndarray] = {}  # cc: guarded-by(_lock)
         self._models: dict[str, _ModelEntry] = {}  # cc: guarded-by(_lock)
         self._lock = threading.RLock()
-        self._plan_cache = PlanCache(plan_cache_dir, enabled=self.compile_plans)
-        # fast resolution map: (name, version, row shape, dtype) -> plan or
-        # the untraceable sentinel.  Keyed by pinned version, so deploy/
-        # rollback invalidation is automatic — a swapped-in version simply
-        # resolves its own entry.
-        self._plans: dict[tuple, Any] = {}  # cc: guarded-by(_plan_lock)
-        self._plan_lock = threading.Lock()
+        # the one forward path (plans keyed by pinned version, so deploy/
+        # rollback need no invalidation: a swapped-in version simply
+        # resolves its own entries)
+        self._executor = ModelExecutor(
+            batch_invariant=self.batch_invariant,
+            compile_plans=self.compile_plans,
+        )
         self._queue = _RequestQueue()
         self._workers: list[threading.Thread] = []  # cc: guarded-by(_state_lock)
         # bare reads (is_running, the worker loop) see a GIL-atomic bool;
@@ -511,24 +489,6 @@ class Orchestrator:
             "Canary candidates rolled back without promotion",
             labels=("model",),
         )
-        self._m_plans_built = registry.counter(
-            "repro_compile_plans_built_total",
-            "Serving plans built by tracing (missed every cache tier)",
-        )
-        self._m_plan_build = registry.histogram(
-            "repro_compile_plan_build_seconds",
-            "Seconds spent tracing + partial-evaluating one serving plan",
-        )
-        self._m_plan_exec = registry.histogram(
-            "repro_compile_plan_exec_seconds",
-            "Wall-clock seconds of forwards served by a compiled plan",
-            labels=("model",),
-        )
-        self._m_untraceable = registry.counter(
-            "repro_compile_untraceable_total",
-            "Specializations that fell back to the interpreted path",
-            labels=("reason",),
-        )
 
     # -- tensor store ---------------------------------------------------------
 
@@ -615,7 +575,6 @@ class Orchestrator:
         version: Optional[int] = None,
         deploy: bool = True,
         package: Optional[Any] = None,
-        digest: Optional[str] = None,
     ) -> int:
         """Register a callable model (RedisAI's ``AI.MODELSET`` analogue).
 
@@ -639,10 +598,7 @@ class Orchestrator:
         unless the caller declares them row-wise.
 
         ``package`` (a :class:`~repro.nas.package.SurrogatePackage`) opts
-        the version into trace-and-compile serving; ``digest`` supplies
-        its registry artifact digest so persisted plans are keyed by
-        exactly the bytes that were deployed (computed from the package
-        parameters when absent).
+        the version into trace-and-compile serving.
         """
         if not callable(predict):
             raise TypeError("model must be callable")
@@ -667,20 +623,20 @@ class Orchestrator:
             if version < 1:
                 raise ValueError("model versions start at 1")
             replaced = version in entry.versions
-            entry.versions[version] = _ModelVersion(
-                predict, bool(batchable), version, package, digest
+            entry.versions[version] = ServedModel(
+                predict, bool(batchable), version, package
             )
             if replaced:
                 # the version number now points at different weights: every
                 # memoized resolution (plans included) is stale
-                self._purge_plan_memos(name, version, drop_plans=True)
+                self._executor.forget(name, version)
             if deploy:
                 self._activate(name, entry, version)
         if blob is not None:
             # every version ships to its ring-assigned shard at register
             # time, so deploy()/rollback() stay pure front-end pointer
             # flips — the worker already holds whatever gets activated
-            self._pool.register(name, version, blob, bool(batchable), digest)
+            self._pool.register(name, version, blob, bool(batchable))
         return version
 
     def deploy(self, name: str, version: int) -> int:
@@ -700,7 +656,6 @@ class Orchestrator:
                 )
             self._activate(name, entry, version)
             self._clear_canary_locked(name, entry)
-            self._purge_plan_memos(name, version)
         return version
 
     def rollback(self, name: str) -> int:
@@ -718,7 +673,6 @@ class Orchestrator:
             target = entry.previous
             entry.previous, entry.active = entry.active, target
             self._clear_canary_locked(name, entry)
-            self._purge_plan_memos(name, target)
             if self._telemetry.enabled:
                 self._m_active_version.set(target, model=name)
                 self._m_rollbacks.inc(model=name)
@@ -763,7 +717,6 @@ class Orchestrator:
             # experiment's own traffic, not outcomes recorded before it
             entry.outcomes[version] = _OutcomeWindow(self.outcome_window)
             entry.outcomes[entry.active] = _OutcomeWindow(self.outcome_window)
-            self._purge_plan_memos(name, version)
             if self._telemetry.enabled:
                 self._m_canary_version.set(version, model=name)
                 self._m_canary_fraction.set(fraction, model=name)
@@ -787,7 +740,6 @@ class Orchestrator:
             entry.canary_fraction = 0.0
             if promote:
                 self._activate(name, entry, candidate)
-                self._purge_plan_memos(name, candidate)
             if self._telemetry.enabled:
                 self._m_canary_version.set(0, model=name)
                 self._m_canary_fraction.set(0.0, model=name)
@@ -887,7 +839,7 @@ class Orchestrator:
 
     def _resolve_locked(  # cc: requires(_lock)
         self, name: str, version: Optional[int] = None
-    ) -> _ModelVersion:
+    ) -> ServedModel:
         """Active (or pinned-by-number) version of ``name``; caller holds lock."""
         entry = self._entry_locked(name)
         if version is None:
@@ -904,7 +856,7 @@ class Orchestrator:
 
     def _admit_locked(  # cc: requires(_lock)
         self, name: str, version: Optional[int] = None
-    ) -> _ModelVersion:
+    ) -> ServedModel:
         """Version-route one admission (caller holds ``self._lock``).
 
         An explicit ``version`` pins that version.  Otherwise the active
@@ -961,18 +913,14 @@ class Orchestrator:
         the version that served the call.
         """
         if not self._telemetry.enabled:
-            _, served = self._run_model_inner(
+            return self._run_model_inner(
                 name, input_keys, output_keys, version=version
             )
-            return served
         start = time.perf_counter()
-        compiled, served = self._run_model_inner(
+        served = self._run_model_inner(
             name, input_keys, output_keys, version=version
         )
-        elapsed = time.perf_counter() - start
-        self._m_latency.observe(elapsed, model=name)
-        if compiled:
-            self._m_plan_exec.observe(elapsed, model=name)
+        self._m_latency.observe(time.perf_counter() - start, model=name)
         return served
 
     def _run_model_inner(
@@ -982,9 +930,9 @@ class Orchestrator:
         output_keys: tuple[str, ...],
         *,
         version: Optional[int] = None,
-        pinned: Optional[_ModelVersion] = None,
-    ) -> tuple[bool, int]:
-        """Serve one request; returns (plan ran it, version that served)."""
+        pinned: Optional[ServedModel] = None,
+    ) -> int:
+        """Serve one request; returns the version that served it."""
         with self._lock:
             model = pinned if pinned is not None else self._admit_locked(
                 name, version
@@ -1000,137 +948,11 @@ class Orchestrator:
         x = inputs[0] if len(inputs) == 1 else np.concatenate(
             [np.atleast_1d(v).ravel() for v in inputs]
         )
-        # the specialization key uses the per-request row shape — the same
-        # key the micro-batcher groups on — so single and batched serving
-        # of one model share one plan.  CSR batches key on their sparsity
-        # pattern instead of a row shape.
-        if isinstance(x, CSRMatrix):
-            plan = self._plan_for(name, model, (x.shape[1],), "<f8", csr=x)
-        else:
-            plan = self._plan_for(name, model, x.shape[-1:], x.dtype.str)
-        if plan is not None:
-            y = np.asarray(plan.predict(x))
-        else:
-            with self._forward_mode():
-                y = np.asarray(model.predict(x))
+        y, _ = self._executor.forward(name, model, x)
         if len(output_keys) != 1:
             raise ValueError("multi-output splitting is the client's job; pass one key")
         self.put_tensor(output_keys[0], y)
-        return plan is not None, model.version
-
-    def _forward_mode(self):
-        """Context every model forward runs under (see ``batch_invariant``)."""
-        if self.batch_invariant:
-            return _batch_invariant_mode()
-        return contextlib.nullcontext()
-
-    # -- compiled serving plans ---------------------------------------------------
-
-    def _purge_plan_memos(
-        self, name: str, version: int, *, drop_plans: bool = False
-    ) -> None:
-        """Forget resolution-map entries for one (name, version).
-
-        ``deploy``/``rollback`` clear only the ``_UNTRACEABLE`` negative
-        memos: an activation is an operator saying "serve this version",
-        so a specialization that once failed to compile (e.g. before its
-        plan landed in the shared disk tier) gets retried instead of
-        being stuck interpreted forever.  Resolved plans stay — they are
-        keyed by version and remain correct.  ``drop_plans=True`` (a
-        re-register that *replaced* the version's weights) drops the
-        plans too.  Lock order ``_lock`` → ``_plan_lock`` (callers hold
-        ``_lock``), same as the serving path.
-        """
-        with self._plan_lock:
-            stale = [
-                key
-                for key, resolved in self._plans.items()
-                if key[0] == name
-                and key[1] == version
-                and (drop_plans or resolved is _UNTRACEABLE)
-            ]
-            for key in stale:
-                del self._plans[key]
-
-    def _plan_for(
-        self, name: str, model: _ModelVersion, shape, dtype: str, *, csr=None
-    ):
-        """Compiled plan for one specialization key, or None (interpreted).
-
-        Resolution is a dict lookup on the hot path; compilation (or a
-        plan-cache load) happens outside every lock on first sight of a
-        key.  Two workers racing the same cold key may both compile —
-        the plans are bit-identical, ``setdefault`` keeps one, and the
-        loser's work is discarded (a benign race, never a wrong answer).
-
-        ``csr`` carries the request's :class:`CSRMatrix` for sparse-input
-        specializations; the resolution key uses its pattern digest, so
-        one plan serves every request with the same sparsity structure.
-        """
-        if not self.compile_plans or model.package is None:
-            return None
-        pattern = csr_pattern_key(csr) if csr is not None else None
-        map_key = (
-            name,
-            model.version,
-            ("csr", pattern) if pattern is not None else tuple(shape),
-            dtype,
-        )
-        with self._plan_lock:
-            resolved = self._plans.get(map_key)
-        if resolved is None:
-            plan = self._build_plan(model, shape, dtype, csr=csr, pattern=pattern)
-            with self._plan_lock:
-                resolved = self._plans.setdefault(
-                    map_key, _UNTRACEABLE if plan is None else plan
-                )
-        return None if resolved is _UNTRACEABLE else resolved
-
-    def _plan_resolved(self, name: str, model: _ModelVersion, tensor) -> bool:
-        """True when this exact specialization already resolved to a plan.
-
-        A pure dict probe — never compiles — so the micro-batcher can ask
-        it while holding ``_lock`` (lock order ``_lock`` → ``_plan_lock``;
-        plan building never takes ``_lock``, so the order is acyclic).
-        The first request for a cold key serves per-request and resolves
-        the plan; every later burst groups on it.
-        """
-        if not self.compile_plans or model.package is None:
-            return False
-        key = (name, model.version, tensor.shape, tensor.dtype.str)
-        with self._plan_lock:
-            resolved = self._plans.get(key)
-        return resolved is not None and resolved is not _UNTRACEABLE
-
-    def _build_plan(
-        self, model: _ModelVersion, shape, dtype: str, *, csr=None, pattern=None
-    ):
-        """Fetch from the plan cache or trace-and-compile (None: fall back)."""
-        try:
-            digest = model.digest or package_digest(model.package)
-            key = self._plan_cache.key(
-                digest,
-                input_shape=shape,
-                dtype=dtype,
-                batch_invariant=self.batch_invariant,
-                csr=pattern,
-            )
-            plan = self._plan_cache.get(key)
-            if plan is not None:
-                return plan
-            start = time.perf_counter()
-            plan = compile_package(
-                model.package, batch_invariant=self.batch_invariant, csr_pattern=csr
-            )
-        except Exception as exc:  # noqa: BLE001 - any compile failure means: interpret
-            if self._telemetry.enabled:
-                self._m_untraceable.inc(reason=untraceable_reason(exc))
-            return None
-        if self._telemetry.enabled:
-            self._m_plan_build.observe(time.perf_counter() - start)
-            self._m_plans_built.inc()
-        self._plan_cache.put(key, plan)
-        return plan
+        return model.version
 
     # -- server mode -----------------------------------------------------------------
 
@@ -1320,7 +1142,7 @@ class Orchestrator:
                     # worker's merged delta; only front-end-originated
                     # abandons are counted here
                     if self._telemetry.enabled and isinstance(
-                        error, OrchestratorStopped
+                        error, (OrchestratorStopped, WorkerCrashedError)
                     ):
                         self._m_failed.inc()
                 request.done.set()
@@ -1490,7 +1312,9 @@ class Orchestrator:
                         and tensor.ndim == 1
                         and (
                             model.batchable
-                            or self._plan_resolved(request.model_name, model, tensor)
+                            or self._executor.has_plan(
+                                request.model_name, model, tensor
+                            )
                         )
                     ):
                         key = (
@@ -1521,16 +1345,15 @@ class Orchestrator:
                 )
             else:
                 start = time.perf_counter()
-                compiled, _ = self._run_model_inner(
+                self._run_model_inner(
                     request.model_name,
                     request.input_keys,
                     request.output_keys,
                     pinned=request.model,
                 )
-                elapsed = time.perf_counter() - start
-                self._m_latency.observe(elapsed, model=request.model_name)
-                if compiled:
-                    self._m_plan_exec.observe(elapsed, model=request.model_name)
+                self._m_latency.observe(
+                    time.perf_counter() - start, model=request.model_name
+                )
         except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
             request.error = exc
             if self._telemetry.enabled:
@@ -1545,31 +1368,11 @@ class Orchestrator:
         """One vectorized forward for a group of shape-compatible requests."""
         requests = group.requests
         name = requests[0].model_name
-        stacked = np.stack(group.inputs)
-        # the group key fixes (model, version, row shape, dtype), which is
-        # exactly a plan specialization key — one lookup covers the batch
-        plan = self._plan_for(
-            name, group.model, group.inputs[0].shape, group.inputs[0].dtype.str
-        )
-        if plan is None and not group.model.batchable:
-            # grouped on a resolved plan that has since been invalidated:
-            # a model never declared row-wise must not see a stacked input
-            for request in requests:
-                self._serve_one(request)
-            return
         start = time.perf_counter()
         try:
-            if plan is not None:
-                output = np.asarray(plan.predict(stacked))
-            else:
-                with self._forward_mode():
-                    output = np.asarray(group.model.predict(stacked))
-            if output.ndim < 1 or output.shape[0] != len(requests):
-                raise ValueError(
-                    f"model {name!r} returned shape {output.shape} for a "
-                    f"batch of {len(requests)}; only row-wise models may be "
-                    "registered batchable=True"
-                )
+            output, _ = self._executor.forward(
+                name, group.model, np.stack(group.inputs), rows=len(requests)
+            )
         except Exception:  # noqa: BLE001 - retried per request
             # a poisoned row (or a non-row-wise model) must not fail its
             # batch-mates: fall back to serving each request individually
@@ -1595,8 +1398,6 @@ class Orchestrator:
             self._m_latency.observe(elapsed, model=name)
             self._m_served.inc(len(requests))
             self._m_batched_rows.inc(len(requests))
-            if plan is not None:
-                self._m_plan_exec.observe(elapsed, model=name)
 
     def __enter__(self) -> "Orchestrator":
         self.start()

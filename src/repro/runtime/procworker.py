@@ -3,12 +3,11 @@
 One worker process owns one shard of the consistent-hash ring: every
 ``(name, version)`` the ring maps here is registered into this process
 (shipped pre-pickled over the control pipe) and served from this
-process only.  The worker mirrors the thread-mode serving semantics —
-compiled-plan resolution per specialization key with its own
-:class:`~repro.compile.PlanCache` (warming lazily from the shared
-on-disk tier), ``batch_invariant()`` forwards, row-wise batch
-validation — so thread-mode and process-mode outputs are bit-identical
-for ``batch_invariant()`` models.
+process only.  Every forward goes through the same
+:class:`~repro.runtime.executor.ModelExecutor` thread mode uses —
+plan resolution per specialization key, ``batch_invariant()``
+forwards, row-wise batch validation — so thread-mode and process-mode
+outputs are bit-identical for ``batch_invariant()`` models.
 
 Wire protocol (all messages are small picklable tuples over raw
 ``Pipe`` connections — see :mod:`~repro.runtime.sharding` for why not
@@ -34,7 +33,7 @@ Wire protocol (all messages are small picklable tuples over raw
   ``("err", req_id, exception)`` entry per subitem — plus
   ``("metrics", worker_id, delta)`` / ``("bye", worker_id, segment_names)``.
 * control pipe: ``("ping",)``, ``("register", name, version, blob,
-  batchable, digest)``, ``("stop",)`` — each acknowledged with ``("ok",)``.
+  batchable)``, ``("stop",)`` — each acknowledged with ``("ok",)``.
 
 Telemetry reuses the thread-mode metric names (served/failed totals,
 inference latency, plan counters): the worker accumulates them on its
@@ -50,39 +49,17 @@ race the collector, which may not yet have read the last results.
 
 from __future__ import annotations
 
-import contextlib
 import pickle
 import time
-from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .. import obs
-from ..compile import (
-    PlanCache,
-    compile_package,
-    csr_pattern_key,
-    package_digest,
-    untraceable_reason,
-)
-from ..nn.tensor import batch_invariant as _batch_invariant_mode
 from ..sparse import CSRMatrix
+from .executor import ModelExecutor, ServedModel
 from .shm_store import SegmentAttachments, ShmTensorStore
 
 __all__ = ["worker_main"]
-
-#: memoized "this specialization cannot be traced" marker (mirrors the
-#: orchestrator's sentinel; workers are single-threaded, no lock needed)
-_UNTRACEABLE = object()
-
-
-class _WorkerModel(NamedTuple):
-    """One registered (name, version) replica held by this shard."""
-
-    predict: Callable[[np.ndarray], np.ndarray]
-    batchable: bool
-    package: Optional[Any]
-    digest: Optional[str]
 
 
 def _picklable(exc: Exception) -> Exception:
@@ -95,17 +72,15 @@ def _picklable(exc: Exception) -> Exception:
 
 
 class _WorkerCore:
-    """Model registry + plan cache + serving loop state for one shard."""
+    """Model replicas + executor + serving loop state for one shard."""
 
     def __init__(self, worker_id: int, config: dict) -> None:
         self.worker_id = int(worker_id)
-        self.batch_invariant = bool(config.get("batch_invariant", True))
-        self.compile_plans = bool(config.get("compile_plans", True))
-        self.plan_cache = PlanCache(
-            config.get("plan_cache_dir"), enabled=self.compile_plans
+        self.executor = ModelExecutor(
+            batch_invariant=bool(config.get("batch_invariant", True)),
+            compile_plans=bool(config.get("compile_plans", True)),
         )
-        self.models: dict[tuple[str, int], _WorkerModel] = {}
-        self.plans: dict[tuple, Any] = {}
+        self.models: dict[tuple[str, int], ServedModel] = {}
         self.out_store = ShmTensorStore(
             prefix=f"repro_w{self.worker_id}", tracked=False
         )
@@ -130,98 +105,25 @@ class _WorkerCore:
             "repro_orchestrator_batched_rows_total",
             "Requests served through a vectorized (B, F) forward pass",
         )
-        self._m_plans_built = registry.counter(
-            "repro_compile_plans_built_total",
-            "Serving plans built by tracing (missed every cache tier)",
-        )
-        self._m_plan_exec = registry.histogram(
-            "repro_compile_plan_exec_seconds",
-            "Wall-clock seconds of forwards served by a compiled plan",
-            labels=("model",),
-        )
-        self._m_untraceable = registry.counter(
-            "repro_compile_untraceable_total",
-            "Specializations that fell back to the interpreted path",
-            labels=("reason",),
-        )
 
     # -- registration --------------------------------------------------------------
 
-    def register(
-        self,
-        name: str,
-        version: int,
-        blob: bytes,
-        batchable: bool,
-        digest: Optional[str],
-    ) -> None:
+    def register(self, name: str, version: int, blob: bytes, batchable: bool) -> None:
         obj = pickle.loads(blob)
         if hasattr(obj, "predict"):
             package, predict = obj, obj.predict
         else:
             package, predict = None, obj
-        key = (name, int(version))
-        if key in self.models:
+        version = int(version)
+        if (name, version) in self.models:
             # re-registered version number -> different weights: every
             # memoized plan (and negative memo) for it is stale
-            self.plans = {
-                k: v for k, v in self.plans.items() if (k[0], k[1]) != key
-            }
-        self.models[key] = _WorkerModel(
-            predict, bool(batchable), package, digest
+            self.executor.forget(name, version)
+        self.models[(name, version)] = ServedModel(
+            predict, bool(batchable), version, package
         )
 
     # -- serving ----------------------------------------------------------------------
-
-    def _forward_mode(self):
-        if self.batch_invariant:
-            return _batch_invariant_mode()
-        return contextlib.nullcontext()
-
-    def _plan_for(
-        self, name: str, version: int, model: _WorkerModel, shape, dtype, *, csr=None
-    ):
-        if not self.compile_plans or model.package is None:
-            return None
-        pattern = csr_pattern_key(csr) if csr is not None else None
-        key = (
-            name,
-            version,
-            ("csr", pattern) if pattern is not None else tuple(shape),
-            dtype,
-        )
-        resolved = self.plans.get(key)
-        if resolved is None:
-            plan = self._build_plan(model, shape, dtype, csr=csr, pattern=pattern)
-            resolved = self.plans[key] = _UNTRACEABLE if plan is None else plan
-        return None if resolved is _UNTRACEABLE else resolved
-
-    def _build_plan(
-        self, model: _WorkerModel, shape, dtype: str, *, csr=None, pattern=None
-    ):
-        try:
-            digest = model.digest or package_digest(model.package)
-            key = self.plan_cache.key(
-                digest,
-                input_shape=shape,
-                dtype=dtype,
-                batch_invariant=self.batch_invariant,
-                csr=pattern,
-            )
-            plan = self.plan_cache.get(key)  # per-process warm from disk tier
-            if plan is not None:
-                return plan
-            plan = compile_package(
-                model.package, batch_invariant=self.batch_invariant, csr_pattern=csr
-            )
-        except Exception as exc:  # noqa: BLE001 - any compile failure means: interpret
-            if obs.is_enabled():
-                self._m_untraceable.inc(reason=untraceable_reason(exc))
-            return None
-        if obs.is_enabled():
-            self._m_plans_built.inc()
-        self.plan_cache.put(key, plan)
-        return plan
 
     def serve_entry(self, item: tuple) -> tuple:
         """Serve one request tuple; returns the ``ok``/``err`` entry to ship."""
@@ -243,19 +145,17 @@ class _WorkerCore:
                     indptr=indptr, indices=indices, data=data, shape=tuple(shape)
                 )
                 rows = int(x.shape[0])
-                y, used_plan = self._forward_csr(name, version, model, x)
-                vectorized = True
-            else:
+                y, _ = self.executor.forward(name, model, x)
+            elif kind == "rows":
                 x = self.attachments.view(handle)
-                if kind == "rows":
-                    rows = int(x.shape[0]) if x.ndim else 1
-                    y, used_plan, vectorized = self._forward_rows(
-                        name, version, model, x
-                    )
-                else:
-                    y, used_plan = self._forward_one(name, version, model, x)
-                    vectorized = False
-            y = np.asarray(y)
+                rows = int(x.shape[0]) if x.ndim else 1
+                y, used_plan = self.executor.forward(name, model, x, rows=rows)
+                if rows > 1 and (used_plan or model.batchable) and obs.is_enabled():
+                    self._m_batched_rows.inc(rows)
+            else:
+                y, _ = self.executor.forward(
+                    name, model, self.attachments.view(handle)
+                )
             if not np.issubdtype(y.dtype, np.floating):
                 y = y.astype(np.float64)
             out = self.out_store.put(y)
@@ -264,13 +164,8 @@ class _WorkerCore:
                 self._m_failed.inc(rows)
             return ("err", req_id, _picklable(exc))
         if obs.is_enabled():
-            elapsed = time.perf_counter() - start
             self._m_served.inc(rows)
-            self._m_latency.observe(elapsed, model=name)
-            if vectorized and rows > 1:
-                self._m_batched_rows.inc(rows)
-            if used_plan:
-                self._m_plan_exec.observe(elapsed, model=name)
+            self._m_latency.observe(time.perf_counter() - start, model=name)
         return ("ok", req_id, out)
 
     def serve_item(self, item: tuple, res) -> None:
@@ -286,45 +181,6 @@ class _WorkerCore:
         for segment in recycled:
             self.out_store.release(segment)
         res.send(("manyok", [self.serve_entry(sub) for sub in subitems]))
-
-    def _forward_csr(self, name, version, model: _WorkerModel, x: CSRMatrix):
-        """One CSR batch: pattern-keyed plan, else the interpreted forward."""
-        plan = self._plan_for(
-            name, version, model, (x.shape[1],), "<f8", csr=x
-        )
-        if plan is not None:
-            return np.asarray(plan.predict(x)), True
-        with self._forward_mode():
-            return np.asarray(model.predict(x)), False
-
-    def _forward_one(self, name, version, model: _WorkerModel, x):
-        plan = self._plan_for(name, version, model, x.shape[-1:], x.dtype.str)
-        if plan is not None:
-            return np.asarray(plan.predict(x)), True
-        with self._forward_mode():
-            return np.asarray(model.predict(x)), False
-
-    def _forward_rows(self, name, version, model: _WorkerModel, x):
-        """One stacked (B, F) block: plan > batchable forward > row loop."""
-        batch = int(x.shape[0])
-        used_plan = vectorized = False
-        plan = self._plan_for(name, version, model, x.shape[1:], x.dtype.str)
-        if plan is not None:
-            y = np.asarray(plan.predict(x))
-            used_plan = vectorized = True
-        elif model.batchable:
-            with self._forward_mode():
-                y = np.asarray(model.predict(x))
-            vectorized = True
-        else:
-            with self._forward_mode():
-                y = np.stack([np.asarray(model.predict(x[i])) for i in range(batch)])
-        if y.ndim < 1 or y.shape[0] != batch:
-            raise ValueError(
-                f"model {name!r} returned shape {y.shape} for a batch of "
-                f"{batch}; only row-wise models may serve stacked rows"
-            )
-        return y, used_plan, vectorized
 
     # -- shutdown ------------------------------------------------------------------
 

@@ -62,7 +62,7 @@ import numpy as np
 
 from .. import obs
 from ..sparse import CSRMatrix
-from .orchestrator import OrchestratorStopped
+from .orchestrator import OrchestratorStopped, WorkerCrashedError
 from .procworker import worker_main
 from .shm_store import SegmentAttachments, ShmTensorStore, unlink_segments
 
@@ -204,6 +204,9 @@ class _Shard:
         self.depth = 0  # cc: guarded-by(cond)
         self.cond = threading.Condition()
         self.collector: Optional[threading.Thread] = None
+        # set once by the collector when the worker dies; dispatchers read
+        # it bare (a GIL-atomic bool) after inserting their pending entries
+        self.dead = False
 
 
 class ProcessShardPool:
@@ -218,7 +221,6 @@ class ProcessShardPool:
         start_method: str = "spawn",
         batch_invariant: bool = True,
         compile_plans: bool = True,
-        plan_cache_dir: Optional[str] = None,
         vnodes: int = 64,
         metrics_interval: float = 0.5,
         boot_timeout: float = 60.0,
@@ -238,7 +240,6 @@ class ProcessShardPool:
         self._config = {
             "batch_invariant": bool(batch_invariant),
             "compile_plans": bool(compile_plans),
-            "plan_cache_dir": str(plan_cache_dir) if plan_cache_dir else None,
             "telemetry": obs.is_enabled(),
             "metrics_interval": float(metrics_interval),
         }
@@ -312,15 +313,10 @@ class ProcessShardPool:
             raise RuntimeError(f"shard {shard.id} returned {ack!r} to {cmd[0]!r}")
 
     def register(
-        self,
-        name: str,
-        version: int,
-        blob: bytes,
-        batchable: bool,
-        digest: Optional[str],
+        self, name: str, version: int, blob: bytes, batchable: bool
     ) -> None:
         """Ship one pre-pickled model version to its ring-assigned shard."""
-        entry = (name, int(version), blob, bool(batchable), digest)
+        entry = (name, int(version), blob, bool(batchable))
         with self._conn_lock:
             self._registered.append(entry)
             if self._running:
@@ -535,16 +531,7 @@ class ProcessShardPool:
                     ("rows", req_id, name, int(version), handle)
                 )
         for shard_id, items in staged.items():
-            shard = self._shards[shard_id]
-            try:
-                self._send_many(shard, items)
-            except (BrokenPipeError, OSError):
-                self._abandon(shard, items)
-        if not self._running:
-            # raced stop(): its sweep may have missed entries we inserted
-            # after it ran, so finish their handshakes ourselves
-            for shard_id, items in staged.items():
-                self._abandon(self._shards[shard_id], items)
+            self._ship(self._shards[shard_id], items)
         return results
 
     def _send_many(self, shard: _Shard, items: list[tuple]) -> None:
@@ -559,8 +546,24 @@ class ProcessShardPool:
         with shard.send_lock:
             shard.req_send.send(("many", items, recycled))
 
+    def _ship(self, shard: _Shard, items: list[tuple]) -> None:
+        """Send staged items; fail them here if no one will ever answer.
+
+        A failed send means the worker (or the whole pool) is gone.  A
+        send that raced ``stop()`` or the crash sweep may have inserted
+        its pending entries after that sweep ran, so they are finished
+        here instead of waiting forever.
+        """
+        try:
+            self._send_many(shard, items)
+        except (BrokenPipeError, OSError):
+            self._abandon(shard, items)
+            return
+        if not self._running or shard.dead:
+            self._abandon(shard, items)
+
     def _abandon(self, shard: _Shard, items: list[tuple]) -> None:
-        """Fail staged dispatches whose send failed (or that raced ``stop``)."""
+        """Fail staged dispatches nobody will answer (see :meth:`_ship`)."""
         for _, req_id, _, _, handle in items:
             with self._pending_lock:
                 pending = self._pending.pop(req_id, None)
@@ -570,41 +573,45 @@ class ProcessShardPool:
             if pending.input_segment is not None:
                 self._store.release(pending.input_segment)
             try:
-                pending.on_done(
-                    None, OrchestratorStopped("serving pool stopped")
-                )
+                pending.on_done(None, self._lost(shard))
             except Exception:  # noqa: BLE001 - waiter bugs must not block teardown
                 pass
 
     def _enqueue(self, shard, kind, name, version, handle, on_done, rows) -> None:
         req_id = next(self._req_ids)
         segment = getattr(handle, "segment", None)  # None: pipe-shipped CSR
-        pending = _Pending(on_done, rows, segment, shard.id)
         with self._pending_lock:
-            self._pending[req_id] = pending
-        try:
-            self._send_many(
-                shard, [(kind, req_id, name, int(version), handle)]
-            )
-        except (BrokenPipeError, OSError):
-            # worker (or the whole pool) went away under us
-            with self._pending_lock:
-                self._pending.pop(req_id, None)
-            self._release(shard, rows)
-            if segment is not None:
-                self._store.release(segment)
-            on_done(None, OrchestratorStopped("serving pool stopped"))
-            return
-        if not self._running:
-            # raced stop(): its sweep may have run before our insert, so
-            # finish the handshake ourselves if the entry is still there
-            with self._pending_lock:
-                still = self._pending.pop(req_id, None)
-            if still is not None:
-                self._release(shard, rows)
-                on_done(None, OrchestratorStopped("serving pool stopped"))
+            self._pending[req_id] = _Pending(on_done, rows, segment, shard.id)
+        self._ship(shard, [(kind, req_id, name, int(version), handle)])
 
     # -- result collection ---------------------------------------------------------
+
+    def _lost(self, shard: _Shard) -> Exception:
+        """Why ``shard`` stopped answering: stop(), or its worker died."""
+        if not self._running:
+            return OrchestratorStopped("serving pool stopped")
+        return WorkerCrashedError(
+            f"shard {shard.id} worker process died before answering"
+        )
+
+    def _fail_shard(self, shard: _Shard) -> None:
+        """Fail every waiter pending on ``shard`` and free its inputs."""
+        shard.dead = True  # before the sweep: see _ship
+        with self._pending_lock:
+            lost = [
+                req_id
+                for req_id, pending in self._pending.items()
+                if pending.shard_id == shard.id
+            ]
+            lost = [self._pending.pop(req_id) for req_id in lost]
+        for pending in lost:
+            if pending.input_segment is not None:
+                self._store.release(pending.input_segment)
+            self._release(shard, pending.rows)
+            try:
+                pending.on_done(None, self._lost(shard))
+            except Exception:  # noqa: BLE001 - a waiter bug must not kill the collector
+                pass
 
     def _resolve_entry(
         self, shard: _Shard, attachments: SegmentAttachments, entry: tuple
@@ -641,8 +648,10 @@ class ProcessShardPool:
                 item = shard.res_recv.recv()
             except (EOFError, OSError):
                 # worker vanished without a farewell (crash or terminate):
-                # best-effort removal of whatever output segments we know
+                # best-effort removal of whatever output segments we know,
+                # and no waiter of this shard is left to its own timeout
                 attachments.close_all(unlink=True)
+                self._fail_shard(shard)
                 break
             kind = item[0]
             if kind == "manyok":

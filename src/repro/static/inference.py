@@ -33,6 +33,7 @@ from typing import Optional
 from ..extract.analysis import analyze_statement
 from ..extract.directives import get_region_spec
 from ..extract.liveness import live_in
+from ..extract.sampling import returned_names_ast
 
 __all__ = [
     "RegionMeta",
@@ -88,25 +89,6 @@ def function_params(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, 
     if a.kwarg:
         params.append(a.kwarg.arg)
     return tuple(params)
-
-
-def returned_names_ast(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    """Names returned by the function's final ``return`` (AST analogue of
-    :func:`repro.extract.sampling.returned_names`)."""
-    returns = [
-        n for n in ast.walk(func)
-        if isinstance(n, ast.Return) and n.value is not None
-    ]
-    if not returns:
-        return ()
-    value = returns[-1].value
-    if isinstance(value, ast.Name):
-        return (value.id,)
-    if isinstance(value, ast.Tuple) and all(
-        isinstance(e, ast.Name) for e in value.elts
-    ):
-        return tuple(e.id for e in value.elts)
-    return ()
 
 
 def _comprehension_targets(stmt: ast.AST) -> frozenset[str]:

@@ -4,8 +4,8 @@ Every lowered step must reproduce the interpreter byte-for-byte under
 ``batch_invariant()``: the im2col gathers, per-tap accumulation order,
 staged pool reductions and CSR scatter all replay the interpreted
 arithmetic exactly, so ``np.testing.assert_array_equal`` (no tolerance)
-is the bar throughout — across batch sizes, odd spatial dims, float32
-inputs and payload round-trips.
+is the bar throughout — across batch sizes, odd spatial dims and float32
+inputs.
 """
 
 import numpy as np
@@ -15,8 +15,6 @@ from repro.autoencoder.model import Autoencoder
 from repro.compile import (
     UntraceableModelError,
     compile_package,
-    plan_from_payload,
-    plan_payload,
     untraceable_reason,
 )
 from repro.nas.package import SurrogatePackage
@@ -120,17 +118,6 @@ class TestConv1dFamily:
             package, plan, rng.standard_normal((6, 8)).astype(np.float32)
         )
 
-    def test_payload_round_trip(self, rng):
-        topology = CNNTopology(
-            channels=(4, 3), kernel_sizes=(3, 3), pools=(2, -2), pool_kind="avg"
-        )
-        package = cnn_package(rng, 12, 2, topology)
-        plan = compile_package(package)
-        reloaded = plan_from_payload(*plan_payload(plan))
-        x = rng.standard_normal((9, 12))
-        np.testing.assert_array_equal(reloaded.predict(x), plan.predict(x))
-        assert reloaded.step_kinds() == plan.step_kinds()
-
 
 class TestConv2dFamily:
     @pytest.mark.parametrize("activation", ACTIVATIONS)
@@ -215,7 +202,7 @@ class TestConv2dFamily:
         plan = compile_package(package)
         assert_bit_identical(package, plan, rng.standard_normal((3, in_dim)))
 
-    def test_float32_and_payload_round_trip(self, rng):
+    def test_float32_input(self, rng):
         in_dim = 4 * 6
         package = chain_package(
             rng,
@@ -234,9 +221,6 @@ class TestConv2dFamily:
         assert_bit_identical(
             package, plan, rng.standard_normal((5, in_dim)).astype(np.float32)
         )
-        reloaded = plan_from_payload(*plan_payload(plan))
-        x = rng.standard_normal((5, in_dim))
-        np.testing.assert_array_equal(reloaded.predict(x), plan.predict(x))
 
 
 def make_csr(rng, rows, cols, *, density=0.3, empty_rows=()):
@@ -356,13 +340,6 @@ class TestCsrPlans:
             shape=x.shape,
         )
         assert_bit_identical(package, plan, fresh)
-
-    def test_csr_payload_round_trip(self, rng):
-        package = sparse_ae_package(rng, 14, 5, 3)
-        x = make_csr(rng, 6, 14, empty_rows=(4,))
-        plan = compile_package(package, csr_pattern=x)
-        reloaded = plan_from_payload(*plan_payload(plan))
-        np.testing.assert_array_equal(reloaded.predict(x), plan.predict(x))
 
 
 class TestUntraceableReasons:

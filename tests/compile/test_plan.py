@@ -2,8 +2,7 @@
 
 The compiler's whole contract is "same floats, less Python": under
 ``batch_invariant()`` a plan's outputs must be *byte-identical* to
-``SurrogatePackage.predict`` for every layer kind, batch size, and
-payload round-trip.  ``np.testing.assert_array_equal`` (exact equality,
+``SurrogatePackage.predict`` for every layer kind and batch size.  ``np.testing.assert_array_equal`` (exact equality,
 no tolerance) is deliberate throughout.
 """
 
@@ -11,12 +10,7 @@ import numpy as np
 import pytest
 
 from repro.autoencoder.model import Autoencoder
-from repro.compile import (
-    UntraceableModelError,
-    compile_package,
-    plan_from_payload,
-    plan_payload,
-)
+from repro.compile import UntraceableModelError, compile_package
 from repro.nas.package import SurrogatePackage
 from repro.nn.cnn import CNNTopology, build_model
 from repro.nn.mlp import Topology
@@ -109,17 +103,6 @@ class TestBitIdentity:
         plan = compile_package(package)
         x = rng.standard_normal((4, 6)).astype(np.float32)
         assert_bit_identical(package, plan, x)
-
-    def test_payload_round_trip_is_bit_identical(self, rng):
-        package = make_package(
-            rng, hidden=(8, 8), activation="sigmoid", residual=True
-        )
-        plan = compile_package(package)
-        reloaded = plan_from_payload(*plan_payload(plan))
-        x = rng.standard_normal((7, 6))
-        np.testing.assert_array_equal(reloaded.predict(x), plan.predict(x))
-        assert reloaded.num_steps() == plan.num_steps()
-        assert reloaded.batch_invariant == plan.batch_invariant
 
     def test_blas_mode_plan_matches_blas_interpreter(self, rng):
         # without batch_invariant only allclose is promised (BLAS gemm may

@@ -121,6 +121,36 @@ class TestReturnedNames:
     def test_undecorated_expression_return(self):
         assert returned_names(regions.undecorated) == ()
 
+    def test_dict_return_keys(self):
+        import ast
+
+        from repro.static.inference import returned_names_ast
+
+        func = ast.parse("def f(a):\n    return {'u': a, 's': 1}").body[0]
+        assert returned_names_ast(func) == ("u", "s")
+
+    @pytest.mark.parametrize("app_name", ["streamcluster", "AMG", "miniQMC"])
+    def test_repeated_run_exact_parses_source_at_most_once(
+        self, app_name, monkeypatch
+    ):
+        # every run_exact (and so every guard fallback) maps the region's
+        # return value onto names; the source parse must not repeat
+        import inspect
+
+        from repro.apps import make_application
+
+        parses = []
+        real = inspect.getsource
+        monkeypatch.setattr(
+            inspect, "getsource", lambda fn: parses.append(fn) or real(fn)
+        )
+        returned_names.cache_clear()
+        app = make_application(app_name)
+        problem = app.example_problem(np.random.default_rng(0))
+        runs = [app.run_exact(problem) for _ in range(5)]
+        assert len(parses) <= 1
+        assert all(run.outputs.keys() == runs[0].outputs.keys() for run in runs)
+
 
 class TestSampleGenerator:
     def test_generates_requested_count(self, rng):

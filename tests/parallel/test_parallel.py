@@ -135,14 +135,20 @@ class TestParallelMap:
             parallel_map(lambda v: v, [1], workers=0)
 
     def test_threads_actually_used(self):
+        # every item rendezvouses with one item of each other rank, so the
+        # four ranks must be running at the same time: a serial map breaks
+        # the barrier (timeout) instead of passing.  Thread idents are
+        # recorded while all four threads are alive, so none is reused.
+        barrier = threading.Barrier(4, timeout=10.0)
         seen = set()
 
         def fn(v):
+            barrier.wait()
             seen.add(threading.get_ident())
             return v
 
-        parallel_map(fn, list(range(32)), workers=4)
-        assert len(seen) > 1
+        assert parallel_map(fn, list(range(32)), workers=4) == list(range(32))
+        assert len(seen) == 4
 
 
 class TestParallelSamples:

@@ -62,3 +62,10 @@ class Tag:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.full(x.shape[0], self.value)
+
+
+class OpaquePackage:
+    """Row-wise package the plan compiler cannot trace (no trace hooks)."""
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * np.asarray(x, dtype=np.float64) + 1.0

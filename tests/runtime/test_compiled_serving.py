@@ -4,7 +4,7 @@ The orchestrator must be allowed to substitute a :class:`CompiledPlan`
 for any package forward without observable effect (other than speed):
 bit-identical outputs under ``batch_invariant``, correct plan selection
 across deploy/rollback, interpreted fallback for anything untraceable,
-and zero rebuilds when a warm on-disk cache is present.
+and fresh plans when a re-register replaces a version's weights.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ class TestCompiledIdentity:
         orc.put_tensor("in", x)
         orc.run_model("m", ("in",), ("out",))
         np.testing.assert_array_equal(orc.get_tensor("out"), reference(package, x))
-        assert len(orc._plans) == 1  # the plan actually served it
+        assert len(orc._executor._plans) == 1  # the plan actually served it
 
     def test_pooled_micro_batches_are_bit_identical(self, rng):
         package = make_package(rng, activation="tanh", hidden=(16, 8))
@@ -74,7 +74,7 @@ class TestCompiledIdentity:
         Client(orc).set_model("m", package)
         orc.put_tensor("in", rng.standard_normal(6))
         orc.run_model("m", ("in",), ("out",))
-        assert orc._plans == {}
+        assert orc._executor._plans == {}
 
 
 class TestPlanStaleness:
@@ -98,7 +98,7 @@ class TestPlanStaleness:
         np.testing.assert_array_equal(orc.get_tensor("out"), reference(v1_pkg, x))
         # version is part of the plan map key: both plans coexist, neither
         # is ever served stale
-        assert len(orc._plans) == 2
+        assert len(orc._executor._plans) == 2
 
     def test_pinned_version_uses_its_own_plan(self, rng):
         v1_pkg = make_package(rng)
@@ -120,7 +120,7 @@ class TestFallback:
         orc.put_tensor("in", np.ones(4))
         orc.run_model("raw", ("in",), ("out",))
         np.testing.assert_array_equal(orc.get_tensor("out"), np.full(4, 3.0))
-        assert orc._plans == {}  # no package, not even a sentinel entry
+        assert orc._executor._plans == {}  # no package, not even a sentinel entry
 
     def test_untraceable_package_falls_back_without_failing(self, rng):
         class OpaquePackage:
@@ -170,7 +170,7 @@ class TestCnnAndCsrServing:
         # the plan map key carries the pattern digest, not an array shape
         assert any(
             isinstance(key[2], tuple) and key[2][0] == "csr"
-            for key in orc._plans
+            for key in orc._executor._plans
         )
         assert obs.get_registry().get("repro_compile_plans_built_total").total() == 1
 
@@ -188,7 +188,7 @@ class TestCnnAndCsrServing:
         orc.run_model("m", ("s",), ("s_out",))
         np.testing.assert_array_equal(orc.get_tensor("d_out"), reference(package, dense))
         np.testing.assert_array_equal(orc.get_tensor("s_out"), reference(package, sparse))
-        assert len(orc._plans) == 2
+        assert len(orc._executor._plans) == 2
 
     def test_csr_pattern_change_builds_a_second_plan(self, rng):
         package = sparse_ae_package(rng, 12, 4, 2)
@@ -202,62 +202,25 @@ class TestCnnAndCsrServing:
             np.testing.assert_array_equal(
                 orc.get_tensor(f"out{i}"), reference(package, x)
             )
-        assert len(orc._plans) == 2
+        assert len(orc._executor._plans) == 2
 
 
-class TestMemoPurge:
-    """deploy()/rollback() clear stale negative compile memos."""
+class TestPlanInvalidation:
+    """Only a re-register (new weights) drops a version's plans."""
 
-    @staticmethod
-    def _flaky_compile(monkeypatch, fail_times):
-        import repro.runtime.orchestrator as orch_mod
-
-        real = orch_mod.compile_package
-        calls = {"n": 0}
-
-        def flaky(*a, **k):
-            calls["n"] += 1
-            if calls["n"] <= fail_times:
-                raise RuntimeError("transient compile failure")
-            return real(*a, **k)
-
-        monkeypatch.setattr(orch_mod, "compile_package", flaky)
-        return calls
-
-    def test_deploy_retries_untraceable_memo(self, rng, monkeypatch):
-        package = make_package(rng)
+    def test_reregister_drops_plans(self, rng):
+        old_pkg = make_package(rng)
+        new_pkg = make_package(np.random.default_rng(7))
         orc = Orchestrator()
         client = Client(orc)
-        v1 = client.set_model("m", package)
-        calls = self._flaky_compile(monkeypatch, 1)
+        client.set_model("m", old_pkg, version=1)
         x = rng.standard_normal(6)
         orc.put_tensor("in", x)
-        orc.run_model("m", ("in",), ("out",))  # compile fails -> interpreted
-        orc.run_model("m", ("in",), ("out",))  # negative memo: no retry
-        assert calls["n"] == 1
-        client.deploy_model("m", v1)  # hot swap clears the negative memo
         orc.run_model("m", ("in",), ("out",))
-        assert calls["n"] == 2  # retried, and this time it compiled
-        np.testing.assert_array_equal(orc.get_tensor("out"), reference(package, x))
+        client.set_model("m", new_pkg, version=1)  # same number, new weights
         orc.run_model("m", ("in",), ("out",))
-        assert calls["n"] == 2  # positive result is memoized as before
-
-    def test_rollback_retries_untraceable_memo(self, rng, monkeypatch):
-        v1_pkg = make_package(rng)
-        v2_pkg = make_package(np.random.default_rng(7))
-        orc = Orchestrator()
-        client = Client(orc)
-        client.set_model("m", v1_pkg)
-        client.set_model("m", v2_pkg)
-        calls = self._flaky_compile(monkeypatch, 1)
-        x = rng.standard_normal(6)
-        orc.put_tensor("in", x)
-        orc.run_model("m", ("in",), ("out",), version=1)  # fails, memoized
-        assert calls["n"] == 1
-        client.rollback_model("m")  # back to v1: clears v1's negative memo
-        orc.run_model("m", ("in",), ("out",))
-        assert calls["n"] == 2
-        np.testing.assert_array_equal(orc.get_tensor("out"), reference(v1_pkg, x))
+        np.testing.assert_array_equal(orc.get_tensor("out"), reference(new_pkg, x))
+        assert obs.get_registry().get("repro_compile_plans_built_total").total() == 2
 
     def test_deploy_keeps_positive_plans(self, rng):
         package = make_package(rng)
@@ -351,48 +314,20 @@ class TestUntraceableReasonLabels:
         assert counter.value(reason="conv") == 1
 
 
-class TestPersistentCache:
-    def test_restart_with_warm_disk_cache_rebuilds_nothing(self, rng, tmp_path):
-        package = make_package(rng)
-        x = rng.standard_normal(6)
-
-        orc1 = Orchestrator(plan_cache_dir=tmp_path)
-        Client(orc1).set_model("m", package)
-        orc1.put_tensor("in", x)
-        orc1.run_model("m", ("in",), ("out",))
-        first = orc1.get_tensor("out")
-        assert obs.get_registry().get("repro_compile_plans_built_total").total() == 1
-
-        # "restart": fresh orchestrator + fresh metrics, same cache dir
-        obs.configure(enabled=True, reset=True)
-        orc2 = Orchestrator(plan_cache_dir=tmp_path)
-        Client(orc2).set_model("m", package)
-        orc2.put_tensor("in", x)
-        orc2.run_model("m", ("in",), ("out",))
-        np.testing.assert_array_equal(orc2.get_tensor("out"), first)
-        registry = obs.get_registry()
-        built = registry.get("repro_compile_plans_built_total")
-        assert built is None or built.total() == 0
-        assert (
-            registry.get("repro_compile_cache_hits_total").value(tier="disk") == 1
-        )
-
-    def test_registry_digest_flows_through_client(self, rng, tmp_path):
+class TestCompileTelemetry:
+    def test_registry_loaded_package_serves_compiled(self, rng, tmp_path):
         package = make_package(rng)
         registry = ModelRegistry(tmp_path / "registry")
-        ref = package.publish(registry, "app")
-        orc = Orchestrator(plan_cache_dir=tmp_path)
-        client = Client(orc)
-        client.set_model_from_registry("app", registry)
+        package.publish(registry, "app")
+        orc = Orchestrator()
+        Client(orc).set_model_from_registry("app", registry)
         x = rng.standard_normal(6)
         orc.put_tensor("in", x)
         orc.run_model("app", ("in",), ("out",))
         np.testing.assert_array_equal(
             orc.get_tensor("out"), reference(package, x)
         )
-        with orc._lock:
-            model = orc._resolve_locked("app", None)
-        assert model.digest == ref.digest
+        assert obs.get_registry().get("repro_compile_plans_built_total").total() == 1
 
     def test_telemetry_names_are_exposed(self, rng):
         package = make_package(rng)

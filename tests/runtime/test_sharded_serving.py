@@ -9,13 +9,23 @@ process boundaries through the shm tensor store.
 """
 
 import glob
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.nn.cnn import CNNTopology
 from repro.nn.tensor import batch_invariant
-from repro.runtime import Client, Orchestrator, UnknownModelError
+from repro.runtime import (
+    Client,
+    Orchestrator,
+    UnknownModelError,
+    WorkerCrashedError,
+)
 
 from ..compile.test_conv_plans import cnn_package, make_csr, sparse_ae_package
 from ..compile.test_plan import make_package
@@ -180,6 +190,91 @@ class TestCrossModeIdentity:
             got_p = np.ravel(np.asarray(process_out))
             assert got_t.tobytes() == got_p.tobytes()
             np.testing.assert_array_equal(got_p, np.ravel(want))
+
+
+    def test_executor_parity_across_modes(self, rng):
+        """MLP, Conv1d CNN, CSR-input and untraceable packages: same bytes,
+        same plan builds and same untraceable reasons in both modes."""
+        dense = {
+            "mlp": (make_package(rng, hidden=(16, 8), activation="tanh"), 6),
+            "cnn": (
+                cnn_package(
+                    rng, 8, 2,
+                    CNNTopology(channels=(4, 3), kernel_sizes=(3, 5), pools=(2, -2)),
+                ),
+                8,
+            ),
+            "opaque": (procmodels.OpaquePackage(), 5),
+        }
+        rows = {name: [rng.standard_normal(dim) for _ in range(12)]
+                for name, (_, dim) in dense.items()}
+        csr_package = sparse_ae_package(rng, 16, 5, 3)
+        csr_x = make_csr(rng, 6, 16, empty_rows=(1,))
+        outputs, metrics = {}, {}
+        for mode, kwargs in {
+            "thread": {}, "process": {"num_processes": 1},
+        }.items():
+            obs.configure(enabled=True, reset=True)
+            orchestrator = Orchestrator(**kwargs)
+            client = Client(orchestrator)
+            for name, (package, _) in dense.items():
+                client.set_model(name, package)
+            client.set_model("csr", csr_package)
+            got = {}
+            try:
+                orchestrator.start()
+                with batch_invariant():
+                    for name in dense:
+                        got[name] = b"".join(
+                            np.ravel(np.asarray(out)).tobytes()
+                            for out in client.run_model_batch(
+                                name, rows[name], timeout=120
+                            )
+                        )
+                    client.put_tensor("in", csr_x)
+                    got["csr"] = np.asarray(
+                        client.run_model("csr", "in", "out")
+                    ).tobytes()
+            finally:
+                orchestrator.stop()  # final worker deltas merge here
+            registry = obs.get_registry()
+            untraceable = registry.get("repro_compile_untraceable_total")
+            outputs[mode] = got
+            metrics[mode] = (
+                registry.get("repro_compile_plans_built_total").total(),
+                {r: untraceable.value(reason=r) for r in ("opaque", "conv", "csr")},
+            )
+        assert outputs["thread"] == outputs["process"]
+        assert metrics["thread"] == metrics["process"]
+        assert metrics["thread"] == (3, {"opaque": 1, "conv": 0, "csr": 0})
+
+
+class TestWorkerCrash:
+    def test_sigkill_fails_pending_callers_fast(self):
+        before = set(shm_entries())
+        orc = Orchestrator(num_processes=1)
+        # every forward sleeps long enough that the kill lands inside the
+        # first one: no output segment exists yet, and all calls pend
+        orc.register_model("slow", procmodels.SleepyModel(5.0), batchable=True)
+        orc.start()
+        try:
+            pending = [orc.run_rows_async("slow", np.ones((4, 3))) for _ in range(6)]
+            time.sleep(0.3)
+            os.kill(orc._pool._shards[0].proc.pid, signal.SIGKILL)
+            start = time.monotonic()
+            for result in pending:
+                with pytest.raises(WorkerCrashedError):
+                    result.result(timeout=30)
+            assert time.monotonic() - start < 5.0
+            # later traffic to the dead shard fails the same way, at once
+            with pytest.raises(WorkerCrashedError):
+                orc.run_rows("slow", np.ones((1, 3)), timeout=30)
+        finally:
+            stopper = threading.Thread(target=orc.stop)
+            stopper.start()
+            stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        assert set(shm_entries()) - before == set()
 
 
 class TestMergedTelemetry:
