@@ -11,6 +11,9 @@ Run with::
 
 from __future__ import annotations
 
+import os
+import platform
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,30 @@ BENCH_CONFIG = AutoHPCnetConfig(
 )
 
 APP_NAMES = tuple(cls.name for cls in ALL_APPLICATIONS)
+
+
+@pytest.fixture(scope="session")
+def machine() -> dict:
+    """Machine and software context recorded in every ``BENCH_*.json``.
+
+    Speed and bit-invariance are properties of the BLAS build, so a
+    committed figure carries the same fields ``perfbench/run.py`` prints.
+    ``blas_threads`` is ``OPENBLAS_NUM_THREADS`` (``None``: BLAS default).
+    """
+    blas = {}
+    try:
+        config = np.show_config(mode="dicts")
+        blas = dict(config.get("Build Dependencies", {}).get("blas", {}))
+    except (TypeError, AttributeError):  # numpy too old for mode="dicts"
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
 
 
 def eval_rng() -> np.random.Generator:

@@ -74,6 +74,11 @@ REPORT: dict = {
 }
 
 
+@pytest.fixture(scope="module", autouse=True)
+def record_machine(machine):
+    REPORT["machine"] = machine
+
+
 def randomized(module, rng, scale=0.1):
     for p in module.parameters():
         p.data = rng.standard_normal(p.data.shape) * scale

@@ -79,7 +79,7 @@ def workload():
 
 
 class TestSustainedQPS:
-    def test_process_pool_beats_thread_pool(self, workload):
+    def test_process_pool_beats_thread_pool(self, workload, machine):
         packages, traffic = workload
         results = []
         baseline = measure_sustained_qps(
@@ -104,6 +104,7 @@ class TestSustainedQPS:
             if r.num_processes
         }
         report = {
+            "machine": machine,
             "traffic": {
                 "models": {n: dict(s) for n, s in MODEL_SPECS.items()},
                 "requests_in_mix": TRAFFIC_LEN,

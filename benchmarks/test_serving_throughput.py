@@ -10,10 +10,10 @@ store overhead across the whole batch.
 Both configurations run with ``batch_invariant=False`` (plain BLAS
 ``gemm``), the throughput-oriented serving mode.  The default
 ``batch_invariant=True`` mode trades some batched-forward speed for
-bit-identical outputs across batch slicings (its ``einsum`` kernel caps
-the forward-only speedup near 3.5x on this surrogate); bit-identity is
-asserted separately by the property tests in
-``tests/runtime/test_batching.py``.
+bit-identical outputs across batch slicings (its kernel runs every row
+in a fixed 8-row BLAS gemm tile, so a batch pays for up to 7 padding
+rows); bit-identity is asserted separately by the property tests in
+``tests/runtime/test_batching.py`` and ``tests/nn/test_invariant_matmul.py``.
 
 Environment knobs (the CI smoke job runs a reduced configuration):
 

@@ -18,9 +18,13 @@ away — **every floating-point operation runs in the exact order the
 interpreted path runs it**, so under :func:`repro.nn.batch_invariant`
 the compiled outputs are bit-identical to ``package.predict``:
 
-* ``x @ W`` executes as the same ``np.einsum("ij,jk->ik")`` (invariant
-  mode) or BLAS ``matmul`` (fast mode), merely writing into a
-  preallocated ``out`` instead of allocating;
+* ``x @ W`` executes as the same :func:`repro.nn.tensor.invariant_matmul`
+  (invariant mode: fixed 8-row BLAS gemm tiles) or BLAS ``matmul``
+  (fast mode), merely writing into a preallocated ``out`` instead of
+  allocating.  In invariant mode the scratch buffers hold whole tiles
+  with zero pad rows: only the first layer pads a partial tile, every
+  later dense layer's gemm runs straight on the buffers, and bias adds
+  and activations skip the pad rows;
 * ``+ bias`` is the same broadcast add, in place;
 * activations replay the exact expressions of
   :class:`repro.nn.tensor.Tensor` (e.g. sigmoid's clip/negate/exp/add/
@@ -29,7 +33,7 @@ the compiled outputs are bit-identical to ``package.predict``:
 The conv/pool family lowers to **im2col with precomputed gather-index
 plans**: every tap of a same-padded convolution becomes one gather
 through an index array baked at compile time, followed by the exact
-per-tap einsum/matmul the interpreter runs, accumulated tap-by-tap in
+per-tap matmul the interpreter runs, accumulated tap-by-tap in
 the interpreter's order (a single fused im2col gemm would *reorder* the
 accumulation and break bit-identity, so we never do that).  Pooling and
 upsampling lower to the same staged reductions and index gathers the
@@ -62,6 +66,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.digest import content_key, fingerprint_array
+from ..nn.tensor import TILE_ROWS, invariant_matmul
 from ..sparse.formats import CSRMatrix
 
 __all__ = [
@@ -148,12 +153,15 @@ def _act_inplace(kind: str, out: np.ndarray) -> None:
     # identity: nothing to do
 
 
+def _whole_tiles(rows: int) -> int:
+    """``rows`` rounded up to a whole number of gemm tiles."""
+    return -(-rows // TILE_ROWS) * TILE_ROWS
+
+
 def _matmul_into(x: np.ndarray, w: np.ndarray, out: np.ndarray, invariant: bool) -> None:
     """The interpreter's 2-D product, written into ``out``."""
     if invariant:
-        # fixed per-element reduction order: rows are independent of
-        # batch size, exactly like the interpreted batch_invariant path
-        np.einsum("ij,jk->ik", x, w, out=out)
+        invariant_matmul(x, w, out=out)
     else:
         np.matmul(x, w, out=out)
 
@@ -162,8 +170,10 @@ class _GemmStep:
     """Fused ``y = act(x @ W + b)`` with weights folded as constants.
 
     The fusion removes three intermediate allocations per layer pair but
-    keeps the float ops verbatim: einsum/matmul into ``out``, in-place
-    broadcast bias add, in-place activation.
+    keeps the float ops verbatim: matmul into ``out``, in-place
+    broadcast bias add, in-place activation.  ``live`` rows are real;
+    the rows past it are tile padding, which gets the gemm (zero rows
+    stay zero) but not the bias and activation.
     """
 
     kind = "gemm"
@@ -175,10 +185,14 @@ class _GemmStep:
         self.act = act
         self.out_dim = int(self.weight.shape[1])
 
-    def run(self, x: np.ndarray, out: np.ndarray, invariant: bool) -> None:
+    def run(
+        self, x: np.ndarray, out: np.ndarray, invariant: bool,
+        live: Optional[int] = None,
+    ) -> None:
         _matmul_into(x, self.weight, out, invariant)
-        out += self.bias
-        _act_inplace(self.act, out)
+        real = out[:live]
+        real += self.bias
+        _act_inplace(self.act, real)
 
 
 class _ActStep:
@@ -228,24 +242,47 @@ class _ResidualStep:
         if not self.steps:
             np.add(x, x, out=out)  # Residual(identity): inner(x) + x == 2x
             return
-        _run_steps(self.steps, x, out, invariant, self._tls)
+        _run_steps(self.steps, x, out, invariant, self._tls, x.shape[0])
         out += x
 
 
 class _ConvScratch:
-    """Per-thread working set of one conv step (padded/gather/tap/acc)."""
+    """Per-thread working set of one conv step (padded/gather/tap/acc).
+
+    The per-tap gemm operands are flat buffers holding whole tiles of
+    ``capacity * points`` rows (one row per sample and spatial point), so
+    every tap's invariant gemm runs in place with no padding copy.
+    """
 
     __slots__ = ("capacity", "padded", "gathered", "tap", "acc")
 
-    def __init__(self, batch: int, pad_shape: tuple, gat: int, accw: int) -> None:
+    def __init__(
+        self, batch: int, pad_shape: tuple, points: int, c_in: int, c_out: int
+    ) -> None:
         self.capacity = max(batch, 32)
         # the pad bands must read as the interpreter's concatenated zeros;
         # they are written once here and never touched again (only the
         # center region is overwritten per call)
         self.padded = np.zeros((self.capacity,) + pad_shape)
-        self.gathered = np.empty((self.capacity, gat))
-        self.tap = np.empty((self.capacity, accw))
-        self.acc = np.empty((self.capacity, accw))
+        rows = _whole_tiles(self.capacity * points)
+        self.gathered = np.zeros(rows * c_in)
+        self.tap = np.empty(rows * c_out)
+        self.acc = np.empty(rows * c_out)
+
+    def gemm_views(self, points: int, c_in: int, c_out: int, invariant: bool):
+        """(gathered rows, gemm input, tap, acc) views for ``points`` rows.
+
+        In invariant mode the gemm views extend to whole tiles; the rows
+        past ``points`` are zeroed so the pad rows compute zeros.
+        """
+        rows = _whole_tiles(points) if invariant else points
+        self.gathered[points * c_in:rows * c_in] = 0.0
+        return (
+            self.gathered[:points * c_in],
+            self.gathered[:rows * c_in].reshape(rows, c_in),
+            self.tap[:rows * c_out].reshape(rows, c_out),
+            self.acc[:rows * c_out].reshape(rows, c_out),
+        )
 
 
 class _Conv1dStep:
@@ -253,7 +290,7 @@ class _Conv1dStep:
 
     ``taps_idx[k]`` maps the flattened padded signal to the im2col
     matrix of tap ``k`` — precomputed at compile time, so each tap is
-    one ``np.take`` plus the exact einsum/matmul the autograd layer
+    one ``np.take`` plus the exact matmul the autograd layer
     runs, accumulated tap-by-tap in the interpreter's order.
     """
 
@@ -297,8 +334,9 @@ class _Conv1dStep:
             scratch = _ConvScratch(
                 batch,
                 (self.channels, self.length + 2 * pad),
-                self.length * self.channels,
-                self.length * self.out_channels,
+                self.length,
+                self.channels,
+                self.out_channels,
             )
             self._tls.s = scratch
         return scratch
@@ -312,17 +350,18 @@ class _Conv1dStep:
             batch, self.channels, length
         )
         flat_padded = s.padded[:batch].reshape(batch, -1)
-        gathered = s.gathered[:batch]
-        gmat = gathered.reshape(batch * length, self.channels)
-        acc = s.acc[:batch].reshape(batch * length, self.out_channels)
-        tap = s.tap[:batch].reshape(batch * length, self.out_channels)
+        points = batch * length
+        gathered, gmat, tap, acc = s.gemm_views(
+            points, self.channels, self.out_channels, invariant
+        )
+        gathered = gathered.reshape(batch, -1)
         for k in range(kernel):
             np.take(flat_padded, self.taps_idx[k], axis=1, out=gathered)
             target = acc if k == 0 else tap
             _matmul_into(gmat, self.weight[k], target, invariant)
             if k:
                 np.add(acc, tap, out=acc)
-        acc3 = s.acc[:batch].reshape(batch, length, self.out_channels)
+        acc3 = acc[:points].reshape(batch, length, self.out_channels)
         acc3 += self.bias
         _act_inplace(self.act, acc3)
         np.copyto(
@@ -384,8 +423,9 @@ class _Conv2dStep:
             scratch = _ConvScratch(
                 batch,
                 (self.channels, self.height + 2 * pad, self.width + 2 * pad),
-                points * self.channels,
-                points * self.out_channels,
+                points,
+                self.channels,
+                self.out_channels,
             )
             self._tls.s = scratch
         return scratch
@@ -400,24 +440,22 @@ class _Conv2dStep:
             batch, self.channels, height, width
         )
         flat_padded = s.padded[:batch].reshape(batch, -1)
-        gathered = s.gathered[:batch]
-        gmat = gathered.reshape(batch * points, self.channels)
-        acc = s.acc[:batch].reshape(batch * points, self.out_channels)
-        tap = s.tap[:batch].reshape(batch * points, self.out_channels)
+        gathered, gmat, tap, acc = s.gemm_views(
+            batch * points, self.channels, self.out_channels, invariant
+        )
+        gathered = gathered.reshape(batch, -1)
         for k in range(self.taps_idx.shape[0]):
             np.take(flat_padded, self.taps_idx[k], axis=1, out=gathered)
             target = acc if k == 0 else tap
             _matmul_into(gmat, self.weight[k], target, invariant)
             if k:
                 np.add(acc, tap, out=acc)
-        acc3 = s.acc[:batch].reshape(batch, points, self.out_channels)
-        acc3 += self.bias
-        _act_inplace(self.act, acc3)
+        acc4 = acc[:batch * points].reshape(batch, height, width, self.out_channels)
+        acc4 += self.bias
+        _act_inplace(self.act, acc4)
         np.copyto(
             out.reshape(batch, self.out_channels, height, width),
-            s.acc[:batch].reshape(
-                batch, height, width, self.out_channels
-            ).transpose(0, 3, 1, 2),
+            acc4.transpose(0, 3, 1, 2),
         )
 
 
@@ -623,15 +661,17 @@ class _CsrDensifyStep:
         out[self.pattern.rows, self.pattern.indices] = values
 
 
-def _scratch_buffers(tls: threading.local, steps: list, batch: int) -> list:
+def _scratch_buffers(tls: threading.local, steps: list, rows: int) -> list:
     """Per-thread intermediate buffers, regrown when a deeper batch arrives.
 
     Buffers are thread-local so concurrent serving workers never share a
-    scratch array — the executor takes no lock on the hot path.
+    scratch array — the executor takes no lock on the hot path.  An
+    invariant-mode forward asks for whole gemm tiles of ``rows``, so
+    every dense layer's tiled gemm runs in place on them.
     """
     bufs = getattr(tls, "bufs", None)
-    if bufs is None or any(b.shape[0] < batch for b in bufs):
-        capacity = max(batch, 32)
+    if bufs is None or any(b.shape[0] < rows for b in bufs):
+        capacity = max(rows, 32)
         bufs = [np.empty((capacity, step.out_dim)) for step in steps[:-1]]
         tls.bufs = bufs
     return bufs
@@ -643,15 +683,29 @@ def _run_steps(
     out: np.ndarray,
     invariant: bool,
     tls: threading.local,
+    batch: int,
 ) -> None:
-    """Run a step chain: intermediates into scratch, the last into ``out``."""
-    batch = x.shape[0]
-    bufs = _scratch_buffers(tls, steps, batch)
+    """Run a step chain: intermediates into scratch, the last into ``out``.
+
+    ``out`` has ``rows >= batch`` rows: whole gemm tiles in invariant
+    mode.  ``x`` holds the ``batch`` real rows, possibly followed by zero
+    pad rows.  A gemm step over a padded input runs its gemm over every
+    row in place and its bias and activation over the real rows only, so
+    the pad rows stay zero; every other step runs over the real rows,
+    and the pad rows of its output are zeroed for the steps after it.
+    """
+    rows = out.shape[0]
+    bufs = _scratch_buffers(tls, steps, rows)
     cur = x
     last = len(steps) - 1
     for i, step in enumerate(steps):
-        target = out if i == last else bufs[i][:batch]
-        step.run(cur, target, invariant)
+        target = out if i == last else bufs[i][:rows]
+        if cur.shape[0] == rows and isinstance(step, _GemmStep):
+            step.run(cur, target, invariant, batch)
+        else:
+            step.run(cur[:batch], target[:batch], invariant)
+            if i < last:
+                target[batch:] = 0.0
         cur = target
 
 
@@ -670,9 +724,11 @@ class CompiledPlan:
     interpreter does for CSR input.
 
     The plan is specialized on ``batch_invariant`` at compile time; it
-    does not consult the thread-local mode at run time.  The returned
-    output array is freshly allocated per call (never a view of the
-    plan's scratch), so callers may keep or mutate it freely.
+    does not consult the thread-local mode at run time.  An invariant
+    plan runs its dense gemms over the batch padded to whole gemm tiles
+    and all other work over the real rows only.  The returned output
+    array is freshly allocated per call (never a view of the plan's
+    scratch), so callers may keep or mutate it freely.
     """
 
     def __init__(
@@ -709,10 +765,15 @@ class CompiledPlan:
         x2 = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
         if not self.steps:
             out = x2.copy()
-        else:
-            out = np.empty((x2.shape[0], self.output_dim))
-            _run_steps(self.steps, x2, out, self.batch_invariant, self._tls)
-        return out[0] if single else out
+            return out[0] if single else out
+        batch = x2.shape[0]
+        out = np.empty((self._rows(batch), self.output_dim))
+        _run_steps(self.steps, x2, out, self.batch_invariant, self._tls, batch)
+        return out[0] if single else out[:batch]
+
+    def _rows(self, batch: int) -> int:
+        """Rows a forward runs: whole gemm tiles in invariant mode."""
+        return _whole_tiles(batch) if self.batch_invariant else batch
 
     __call__ = predict
 
@@ -729,18 +790,21 @@ class CompiledPlan:
             )
         head, rest = self.steps[0], self.steps[1:]
         batch = x.shape[0]
-        out = np.empty((batch, self.output_dim))
         if not rest:
+            out = np.empty((batch, self.output_dim))
             head.run_values(x.data, out)
             return out
+        rows = self._rows(batch)
         buf = getattr(self._tls_head, "buf", None)
-        if buf is None or buf.shape[0] < batch:
-            buf = np.empty((max(batch, 32), head.out_dim))
+        if buf is None or buf.shape[0] < rows:
+            buf = np.empty((max(rows, 32), head.out_dim))
             self._tls_head.buf = buf
-        cur = buf[:batch]
-        head.run_values(x.data, cur)
-        _run_steps(rest, cur, out, self.batch_invariant, self._tls)
-        return out
+        cur = buf[:rows]
+        head.run_values(x.data, cur[:batch])
+        cur[batch:] = 0.0
+        out = np.empty((rows, self.output_dim))
+        _run_steps(rest, cur, out, self.batch_invariant, self._tls, batch)
+        return out[:batch]
 
     def num_steps(self) -> int:
         """Flat step count (residual inners included), for introspection."""

@@ -26,6 +26,7 @@ __all__ = [
     "is_grad_enabled",
     "batch_invariant",
     "is_batch_invariant",
+    "invariant_matmul",
     "tensor",
     "zeros",
     "ones",
@@ -64,11 +65,12 @@ def batch_invariant():
     BLAS ``gemm`` picks different K-blocking (and hence floating-point
     summation order) for different output shapes, so the rows of
     ``X[(B, F)] @ W`` differ in the last ulp from ``X[i] @ W``.  Inside
-    this context 2-D×2-D products route through ``np.einsum`` with a
-    fixed per-element reduction order, making every row's result
-    independent of how many other rows share the batch.  The serving
-    path uses this so dynamically batched inference is bit-identical to
-    per-request inference; training stays on BLAS for speed.
+    this context 2-D×2-D products route through :func:`invariant_matmul`,
+    which runs every row inside the same fixed-shape BLAS gemm tile, so
+    each row's result is independent of how many other rows share the
+    batch.  The serving path uses this so dynamically batched inference
+    is bit-identical to per-request inference; training stays on plain
+    BLAS.
     """
     previous = is_batch_invariant()
     _state.batch_invariant = True
@@ -78,10 +80,55 @@ def batch_invariant():
         _state.batch_invariant = previous
 
 
+#: rows per gemm tile in :func:`invariant_matmul`; of 4/8/16/32 rows, the
+#: fastest over the serving layer shapes at 1 and 128 rows taken together
+#: (DESIGN.md, serving determinism)
+TILE_ROWS = 8
+
+
+def invariant_matmul(
+    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``a @ b`` for 2-D operands with each row's bits independent of the batch.
+
+    The rows of ``a`` are cut into tiles of :data:`TILE_ROWS` and one
+    ``np.matmul`` runs over the ``(n_tiles, TILE_ROWS, F)`` view against
+    ``b``; a last partial tile is zero-padded and run the same way.
+    Every tile is the same ``(TILE_ROWS, F) @ (F, K)`` gemm, so a row's
+    result does not depend on how many rows share its batch or where it
+    sits in it.  Both operands are cast to contiguous float64 first:
+    numpy picks its matmul inner loop from dtype and strides, and every
+    caller must reach the same one.
+
+    ``out`` (float64, ``(rows, K)``) receives the product; when it is
+    C-contiguous the gemm writes into it directly.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    rows, feats = a.shape
+    cols = b.shape[1]
+    direct = out is not None and out.flags.c_contiguous
+    target = out if direct else np.empty((rows, cols))
+    full = rows - rows % TILE_ROWS
+    if full:
+        np.matmul(
+            a[:full].reshape(-1, TILE_ROWS, feats), b,
+            out=target[:full].reshape(-1, TILE_ROWS, cols),
+        )
+    if full < rows:
+        tail = np.zeros((1, TILE_ROWS, feats))
+        tail[0, :rows - full] = a[full:]
+        target[full:] = np.matmul(tail, b)[0, :rows - full]
+    if out is None or direct:
+        return target
+    np.copyto(out, target)
+    return out
+
+
 def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Forward product honoring the batch-invariant mode for 2-D operands."""
     if a.ndim == 2 and b.ndim == 2 and is_batch_invariant():
-        return np.einsum("ij,jk->ik", a, b)
+        return invariant_matmul(a, b)
     return a @ b
 
 

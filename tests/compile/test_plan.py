@@ -15,6 +15,7 @@ from repro.nas.package import SurrogatePackage
 from repro.nn.cnn import CNNTopology, build_model
 from repro.nn.mlp import Topology
 from repro.nn.tensor import batch_invariant
+from repro.sparse.formats import COOMatrix
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "leaky_relu")
 BATCHES = (1, 3, 32, 57)
@@ -44,7 +45,7 @@ def make_package(
         p.data = rng.standard_normal(p.data.shape)
     ae = None
     if latent_dim is not None:
-        ae = Autoencoder(input_dim, latent_dim, depth=1)
+        ae = Autoencoder(input_dim, latent_dim, depth=1, sparse_input=sparse_input)
         for p in ae.parameters():
             p.data = rng.standard_normal(p.data.shape)
     return SurrogatePackage(
@@ -125,6 +126,77 @@ class TestBitIdentity:
             np.testing.assert_array_equal(plan.predict(row), batched[i])
 
 
+def _csr(dense):
+    rows, cols = np.nonzero(dense)
+    return COOMatrix(rows, cols, dense[rows, cols], dense.shape).to_csr()
+
+
+class TestPerRowReference:
+    """Plans over every batch size 1–40 against per-row ``predict``.
+
+    The batches cross several gemm tile edges; each served row must
+    carry the bytes the interpreter gives that row alone.
+    """
+
+    MAX_BATCH = 40
+
+    @staticmethod
+    def _assert_same_bytes(actual, expected):
+        # byte equality, stricter than assert_array_equal (-0.0 != 0.0)
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+    def _per_row(self, package, rows):
+        with batch_invariant():
+            return np.stack([package.predict(r[None, :])[0] for r in rows])
+
+    def _check_dense(self, package, in_dim, rng):
+        x = rng.standard_normal((self.MAX_BATCH, in_dim))
+        expected = self._per_row(package, x)
+        plan = compile_package(package)
+        for batch in range(1, self.MAX_BATCH + 1):
+            self._assert_same_bytes(plan.predict(x[:batch]), expected[:batch])
+
+    def test_mlp_with_encoder(self, rng):
+        package = make_package(
+            rng, input_dim=48, latent_dim=12, hidden=(64, 32), output_dim=5
+        )
+        self._check_dense(package, 48, rng)
+
+    def test_conv1d_cnn(self, rng):
+        topology = CNNTopology(
+            channels=(6, 4), kernel_sizes=(3, 5), pools=(2, 0), activation="tanh"
+        )
+        model = build_model(24, 3, topology)
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.data.shape)
+        package = SurrogatePackage(
+            model=model, topology=topology, input_dim=24, output_dim=3
+        )
+        self._check_dense(package, 24, rng)
+
+    def test_csr_with_encoder(self, rng):
+        in_dim = 60
+        package = make_package(
+            rng, input_dim=in_dim, hidden=(32, 16), sparse_input=True, latent_dim=10
+        )
+        dense = np.where(
+            rng.random((self.MAX_BATCH, in_dim)) < 0.3,
+            rng.standard_normal((self.MAX_BATCH, in_dim)),
+            0.0,
+        )
+        with batch_invariant():
+            expected = np.stack([
+                package.predict(_csr(dense[i:i + 1]))[0]
+                for i in range(self.MAX_BATCH)
+            ])
+        for batch in range(1, self.MAX_BATCH + 1):
+            x = _csr(dense[:batch])
+            plan = compile_package(package, csr_pattern=x)
+            assert "csr_gemm" in plan.step_kinds()
+            self._assert_same_bytes(plan.predict(x), expected[:batch])
+
+
 class TestPlanSemantics:
     def test_fusion_flattens_dense_activation_pairs(self, rng):
         package = make_package(rng, hidden=(16, 8))
@@ -184,7 +256,7 @@ class TestPlanSemantics:
 
     def test_plan_ignores_runtime_thread_mode(self, rng):
         # specialization is fixed at compile time: an invariant plan keeps
-        # its einsum reduction order even when called outside the context
+        # its tiled gemm kernel even when called outside the context
         package = make_package(rng)
         plan = compile_package(package, batch_invariant=True)
         x = rng.standard_normal((4, 6))
