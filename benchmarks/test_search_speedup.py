@@ -21,7 +21,8 @@ search into the same checkpoint directory, after which the search state and
 best package are deleted so the measured run performs the full search with
 only the ``ae_cache/`` tier retained.
 
-Results are written to ``BENCH_search.json`` (override with
+Results, with the machine fingerprint from ``benchmarks/conftest.py``,
+are written to ``BENCH_search.json`` (override with
 ``REPRO_SEARCH_BENCH_JSON``).
 
 Environment knobs (the CI smoke job runs a reduced configuration):
@@ -91,7 +92,7 @@ def search_data():
 
 
 class TestSearchSpeedup:
-    def test_parallel_cached_vs_sequential(self, search_data, tmp_path):
+    def test_parallel_cached_vs_sequential(self, search_data, tmp_path, machine):
         x, y = search_data
         cache_dir = tmp_path / "ckpt"
 
@@ -131,6 +132,7 @@ class TestSearchSpeedup:
                 "f_e": parallel.best.f_e,
                 "topology": parallel.best.topology.describe(),
             },
+            "machine": machine,
         }
         with open(JSON_PATH, "w") as fh:
             json.dump(report, fh, indent=2)

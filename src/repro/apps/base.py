@@ -211,17 +211,5 @@ class Application(abc.ABC):
             sample_workers=sample_workers,
         )
 
-    def surrogate_outputs(
-        self,
-        problem: Mapping[str, Any],
-        package,
-        input_schema,
-        output_schema,
-    ) -> dict[str, Any]:
-        """Run the surrogate in place of the region for one problem."""
-        x = input_schema.flatten(problem)
-        y = package.predict(x)
-        return output_schema.unflatten(y)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r} type={self.app_type}>"

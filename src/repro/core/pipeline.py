@@ -135,15 +135,14 @@ class AutoHPCnet:
         mu = self.config.qoi_mu
 
         def quality_fn(package: SurrogatePackage) -> float:
-            violations = 0
-            for problem, exact in zip(problems, exact_qois):
-                x = input_schema.flatten(problem)
-                z = x_scaler.transform(x[None, :])
-                y = y_scaler.inverse(package.predict(z))[0]
-                outputs = output_schema.unflatten(y)
-                surrogate_qoi = app.qoi_from_outputs(problem, outputs)
-                if relative_qoi_error(exact, surrogate_qoi) > mu:
-                    violations += 1
+            surrogate = DeployedSurrogate(
+                app, package, input_schema, output_schema, x_scaler, y_scaler
+            )
+            violations = sum(
+                1
+                for problem, exact in zip(problems, exact_qois)
+                if relative_qoi_error(exact, surrogate.qoi(problem)) > mu
+            )
             return violations / len(problems)
 
         return quality_fn

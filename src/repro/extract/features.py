@@ -41,13 +41,28 @@ class FeatureField:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered collection of fields covering the whole feature vector."""
+    """Ordered collection of fields covering the whole feature vector.
+
+    The layout — each field's ``(name, lo, hi, shape, is_sparse)`` and the
+    total size — is worked out once at construction; :meth:`flatten` and
+    :meth:`unflatten` run on every guarded call and only walk that tuple.
+    """
 
     fields: tuple[FeatureField, ...]
 
+    def __post_init__(self) -> None:
+        # frozen: the derived layout is set past the dataclass __setattr__;
+        # it is not a field, so equality, hashing and repr ignore it
+        layout = tuple(
+            (f.name, f.offset, f.offset + f.size, f.shape, f.is_sparse)
+            for f in self.fields
+        )
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_total_size", sum(f.size for f in self.fields))
+
     @property
     def total_size(self) -> int:
-        return sum(f.size for f in self.fields)
+        return self._total_size
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -65,17 +80,32 @@ class FeatureSchema:
 
     def flatten(self, values: Mapping[str, Any]) -> np.ndarray:
         """Pack a variable dict into one flat float64 vector."""
-        out = np.empty(self.total_size, dtype=np.float64)
-        for f in self.fields:
-            value = values[f.name]
+        out = np.empty(self._total_size, dtype=np.float64)
+        for name, lo, hi, shape, _ in self._layout:
+            value = values[name]
+            if not shape and isinstance(value, (int, float)):
+                out[lo] = value
+                continue
+            if isinstance(value, CSRMatrix):
+                if value.shape != shape:
+                    raise ValueError(
+                        f"field {name!r}: expected shape {shape}, got {value.shape}"
+                    )
+                # scatter the nonzeros straight into the zeroed slice: the
+                # same writes as ``to_dense`` without its dense temporary
+                block = out[lo:hi]
+                block.fill(0.0)
+                rows = np.repeat(np.arange(shape[0]), np.diff(value.indptr))
+                block.reshape(shape)[rows, value.indices] = value.data
+                continue
             if isinstance(value, _SPARSE_TYPES):
                 value = value.to_dense()
             arr = np.asarray(value, dtype=np.float64)
-            if arr.shape != f.shape:
+            if arr.shape != shape:
                 raise ValueError(
-                    f"field {f.name!r}: expected shape {f.shape}, got {arr.shape}"
+                    f"field {name!r}: expected shape {shape}, got {arr.shape}"
                 )
-            out[f.slice] = arr.ravel()
+            out[lo:hi] = arr.ravel()
         return out
 
     def unflatten(self, vector: np.ndarray) -> dict[str, Any]:
@@ -86,17 +116,14 @@ class FeatureSchema:
         written back into the application's data structures.
         """
         vector = np.asarray(vector, dtype=np.float64).ravel()
-        if vector.size != self.total_size:
+        if vector.size != self._total_size:
             raise ValueError(
-                f"expected vector of length {self.total_size}, got {vector.size}"
+                f"expected vector of length {self._total_size}, got {vector.size}"
             )
         out: dict[str, Any] = {}
-        for f in self.fields:
-            arr = vector[f.slice].reshape(f.shape) if f.shape else float(vector[f.offset])
-            if f.is_sparse:
-                out[f.name] = from_dense(np.atleast_2d(arr), "csr")
-            else:
-                out[f.name] = arr
+        for name, lo, hi, shape, sparse in self._layout:
+            arr = vector[lo:hi].reshape(shape) if shape else float(vector[lo])
+            out[name] = from_dense(np.atleast_2d(arr), "csr") if sparse else arr
         return out
 
     def density(self, values: Mapping[str, Any]) -> float:

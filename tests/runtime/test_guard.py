@@ -1,11 +1,17 @@
 """Guarded-surrogate (restart mechanism) tests."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AutoHPCnet, AutoHPCnetConfig
 from repro.apps import CGApplication
 from repro.runtime import GuardedSurrogate, bounds_validator, residual_validator
+from repro.runtime.guard import _norm2
+from repro.sparse import from_dense
 
 
 FAST = AutoHPCnetConfig(
@@ -56,6 +62,119 @@ class TestBoundsValidator:
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
             bounds_validator("v", low=1.0, high=0.0)
+
+
+def reference_bounds(value, low, high, require_finite):
+    """The three-reduction form ``bounds_validator`` must agree with."""
+    value = np.asarray(value, dtype=np.float64)
+    if require_finite and not np.all(np.isfinite(value)):
+        return False
+    return bool(np.all(value >= low) and np.all(value <= high))
+
+
+def reference_residual(matrix, b, x, rtol):
+    """The ``np.linalg.norm`` form ``residual_validator`` must agree with."""
+    b = np.asarray(b, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if hasattr(matrix, "matvec"):
+        residual = b - matrix.matvec(x)
+    else:
+        residual = b - np.asarray(matrix) @ x
+    return float(np.linalg.norm(residual)) <= rtol * float(np.linalg.norm(b))
+
+
+BOUNDS = ((0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 1.0), (1.0, 1.0))
+BOUND_VALUES = (
+    np.array([]),
+    np.zeros((0, 3)),
+    np.array(0.5),
+    0.5,
+    1.0,
+    np.nan,
+    np.inf,
+    -np.inf,
+    np.array([0.0, 1.0]),                    # exactly on each bound
+    np.array([0.0, 0.5, 1.0]),
+    np.array([-1e-300, 0.5]),                # just below the low bound
+    np.array([0.5, np.nextafter(1.0, 2.0)]),  # just above the high bound
+    np.array([0.5, np.nan, 0.7]),
+    np.array([0.5, np.inf]),
+    np.array([-np.inf, 0.5]),
+    np.array([np.inf, -np.inf]),
+    np.array([[0.2, np.nan], [np.inf, 0.1]]),
+    np.array([1, 0, 1], dtype=np.int64),
+    np.array([0.25, 0.75], dtype=np.float32),
+)
+
+
+class TestValidatorEquivalence:
+    @pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+    @pytest.mark.parametrize("require_finite", (True, False))
+    def test_bounds_matches_three_reductions(self, bounds, require_finite):
+        low, high = bounds
+        validate = bounds_validator("v", low=low, high=high, require_finite=require_finite)
+        for value in BOUND_VALUES:
+            got = validate({}, {"v": value})
+            assert type(got) is bool
+            assert got == reference_bounds(value, low, high, require_finite), value
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+            ),
+            max_size=8,
+        ),
+        low=st.sampled_from((-np.inf, -1.0, -0.0, 0.0)),
+        high=st.sampled_from((np.inf, 1.0, 0.0)),
+        require_finite=st.booleans(),
+    )
+    def test_bounds_matches_three_reductions_drawn(self, values, low, high, require_finite):
+        validate = bounds_validator("v", low=low, high=high, require_finite=require_finite)
+        value = np.array(values, dtype=np.float64)
+        assert validate({}, {"v": value}) == reference_bounds(value, low, high, require_finite)
+
+    def test_norm_is_bitwise_linalg_norm(self):
+        rng = np.random.default_rng(7)
+        for n in itertools.chain(range(1, 40), rng.integers(40, 1000, size=60)):
+            for scale in (1e-5, 1.0, 1e5):
+                v = rng.standard_normal(n) * scale
+                assert _norm2(v) == float(np.linalg.norm(v))
+                strided = np.repeat(v, 2)[::2]
+                assert _norm2(strided) == float(np.linalg.norm(strided))
+
+    @pytest.mark.parametrize("kind", ("dense", "csr"))
+    def test_residual_matches_linalg_norm_form(self, kind):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 17, 64):
+            dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5) + 4.0 * np.eye(n)
+            matrix = from_dense(dense, "csr") if kind == "csr" else dense
+            b = rng.standard_normal(n)
+            exact = np.linalg.solve(dense, b)
+            verdicts = set()
+            for x in (exact, exact + 1e-3 * rng.standard_normal(n), np.zeros(n), -exact):
+                r = float(np.linalg.norm(b - dense @ x))
+                edge = r / float(np.linalg.norm(b))
+                # rtol on, just below and just above the edge of acceptance
+                for rtol in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 0.05, 0.25):
+                    validate = residual_validator("A", "b", "x", rtol=rtol)
+                    got = validate({"A": matrix, "b": b}, {"x": x})
+                    assert got == reference_residual(matrix, b, x, rtol)
+                    verdicts.add(got)
+            assert verdicts == {True, False}
+
+    def test_residual_strided_rhs(self):
+        rng = np.random.default_rng(3)
+        matrix = from_dense(np.eye(5) * 2.0, "csr")
+        b = np.repeat(rng.standard_normal(5), 2)[::2]
+        x = b / 2.0 + 1e-9
+        for rtol in (0.0, 1e-12, 1e-6):
+            validate = residual_validator(rtol=rtol)
+            assert validate({"A": matrix, "b": b}, {"x": x}) == reference_residual(
+                matrix, b, x, rtol
+            )
 
 
 class TestGuardedExecution:
